@@ -99,7 +99,10 @@ let cmd_run =
     let graph = Ds.load ~max_edges (Ds.find dataset) in
     let compiled = compile_model model ~training ~compact ~fusion in
     try
-      let session = Session.create ~seed:7 ~trace:(trace_file <> None) ~graph compiled in
+      let config =
+        { Session.Config.default with Session.Config.seed = 7; trace = trace_file <> None }
+      in
+      let session = Session.create ~config ~graph compiled in
       (if training then
          let rng = Hector_tensor.Rng.create 5 in
          let labels =

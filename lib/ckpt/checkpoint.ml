@@ -82,14 +82,15 @@ let header_json t ~payload =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"format\":\"%s\",\"version\":%d,\"model\":\"%s\",\"step\":%d,\"rng\":%s,\"epoch\":%d,\"graph_version\":%d"
-       format_name format_version (Json.escape t.model) t.step
+       format_name format_version (Hector_obs.json_escape t.model) t.step
        (match t.rng with None -> "null" | Some s -> Printf.sprintf "\"%Ld\"" s)
        t.epoch t.graph_version);
   Buffer.add_string buf ",\"meta\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
+      Buffer.add_string buf
+        (Printf.sprintf "\"%s\":\"%s\"" (Hector_obs.json_escape k) (Hector_obs.json_escape v)))
     t.meta;
   Buffer.add_string buf "},\"tensors\":[";
   List.iteri
@@ -99,7 +100,7 @@ let header_json t ~payload =
       let count = Tensor.numel w in
       Buffer.add_string buf
         (Printf.sprintf "{\"name\":\"%s\",\"shape\":[%s],\"offset\":%d,\"count\":%d}"
-           (Json.escape name)
+           (Hector_obs.json_escape name)
            (String.concat "," (List.map string_of_int (Array.to_list shape)))
            !off count);
       off := !off + count)

@@ -56,8 +56,6 @@ let reset_clock ?(keep_events = false) t =
 
 let events t = List.rev t.events
 
-let json_escape = Obs.json_escape
-
 let add_kernel_event buf e =
   let args =
     match e.prov with
@@ -69,10 +67,10 @@ let add_kernel_event buf e =
           | ops ->
               Printf.sprintf ",\"fused\":[%s]"
                 (String.concat ","
-                   (List.map (fun o -> Printf.sprintf "\"%s\"" (json_escape o)) ops))
+                   (List.map (fun o -> Printf.sprintf "\"%s\"" (Obs.json_escape o)) ops))
         in
         Printf.sprintf ",\"args\":{\"op\":\"%s\",\"step\":%d,\"origin\":\"%s\"%s}"
-          (json_escape p.Kernel.op) p.Kernel.step (json_escape p.Kernel.origin) fused
+          (Obs.json_escape p.Kernel.op) p.Kernel.step (Obs.json_escape p.Kernel.origin) fused
   in
   (* compute launches render on tid 1; async transfers on tid 2+channel, so
      Perfetto shows overlapped Comm spans on their own rows *)
@@ -80,8 +78,8 @@ let add_kernel_event buf e =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-       (json_escape e.name)
-       (json_escape (Kernel.category_name e.category))
+       (Obs.json_escape e.name)
+       (Obs.json_escape (Kernel.category_name e.category))
        (e.start_ms *. 1e3) (e.duration_ms *. 1e3) tid args)
 
 let to_chrome_trace ?obs t =
@@ -118,7 +116,7 @@ let entries_json entries =
     (fun i (name, (e : Stats.entry)) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"time_ms\":%.6f,\"launches\":%d}" (json_escape name)
+        (Printf.sprintf "\"%s\":{\"time_ms\":%.6f,\"launches\":%d}" (Obs.json_escape name)
            e.Stats.time_ms e.Stats.launches))
     entries;
   Buffer.add_char buf '}';

@@ -127,10 +127,6 @@ val by_category_json : t -> string
 val by_op_json : t -> string
 (** The per-op time/launch table as a JSON object fragment. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON document (quotes, backslashes,
-    control characters). *)
-
 val memory : t -> Memory.t
 (** The device allocator of this engine. *)
 

@@ -91,7 +91,11 @@ let dedup_by_id options =
 let measure ?device ~training ~graph compiled =
   incr measured;
   try
-    let session = Session.create ?device ~seed:11 ~graph compiled in
+    let config =
+      Session.Config.
+        { default with device = Option.value device ~default:default.device; seed = 11 }
+    in
+    let session = Session.create ~config ~graph compiled in
     let epoch =
       if training then (
         let rng = Rng.create 3 in

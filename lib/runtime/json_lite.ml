@@ -31,6 +31,35 @@ let parse s =
       v)
     else raise Malformed
   in
+  (* [\uXXXX] escapes, the cursor on the [u]: a UTF-16 surrogate pair
+     spells one code point above the BMP; a lone surrogate is malformed *)
+  let hex4 () =
+    if !i + 4 >= n then raise Malformed;
+    let digit = function
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> raise Malformed
+    in
+    let v = ref 0 in
+    for k = 1 to 4 do
+      v := (!v lsl 4) lor digit s.[!i + k]
+    done;
+    i := !i + 4;
+    !v
+  in
+  let parse_code_point () =
+    let hi = hex4 () in
+    if hi land 0xFC00 = 0xDC00 then raise Malformed;
+    if hi land 0xFC00 <> 0xD800 then Uchar.of_int hi
+    else if !i + 2 < n && s.[!i + 1] = '\\' && s.[!i + 2] = 'u' then begin
+      i := !i + 2;
+      let lo = hex4 () in
+      if lo land 0xFC00 <> 0xDC00 then raise Malformed;
+      Uchar.of_int (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else raise Malformed
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -49,11 +78,8 @@ let parse s =
             | 't' -> Buffer.add_char b '\t'
             | 'r' -> Buffer.add_char b '\r'
             | 'b' -> Buffer.add_char b '\b'
-            | 'u' ->
-                (* the writer never emits \u, but tolerate it as '?' *)
-                if !i + 4 >= n then raise Malformed;
-                i := !i + 4;
-                Buffer.add_char b '?'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'u' -> Buffer.add_utf_8_uchar b (parse_code_point ())
             | _ -> raise Malformed);
             incr i;
             go ()
@@ -134,20 +160,6 @@ let parse s =
   skip_ws ();
   if !i <> n then raise Malformed;
   v
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* --- field accessors ---------------------------------------------------- *)
 

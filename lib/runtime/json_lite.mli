@@ -5,8 +5,8 @@
     ([Hector_ckpt.Checkpoint]) both serialize small fixed schemas, so a
     ~100-line value parser plus a few field accessors covers every need.
     The writer side stays [Printf]-based at each call site (the schemas are
-    flat); this module supplies {!escape} and the atomic file-write helper
-    both formats share. *)
+    flat, and strings go through {!Hector_obs.json_escape}); this module
+    supplies the atomic file-write helper both formats share. *)
 
 type t =
   | Null
@@ -20,11 +20,9 @@ exception Malformed
 (** Raised by {!parse} and the typed accessors on any structural error. *)
 
 val parse : string -> t
-(** Parse a complete JSON document (trailing garbage rejected).  Raises
-    {!Malformed}. *)
-
-val escape : string -> string
-(** Escape a string for embedding between double quotes. *)
+(** Parse a complete JSON document (trailing garbage rejected).  String
+    escapes follow RFC 8259: [\uXXXX] (including surrogate pairs) decodes
+    to UTF-8.  Raises {!Malformed}. *)
 
 val member : t -> string -> t option
 (** Object field lookup ([None] on missing field or non-object). *)

@@ -54,13 +54,6 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?device:Hector_gpu.Device.t ->
-  ?seed:int ->
-  ?trace:bool ->
-  ?memory_planner:bool ->
-  ?node_inputs:(string * Tensor.t) list ->
-  ?edge_inputs:(string * Tensor.t) list ->
-  ?weights:(string * Tensor.t) list ->
   graph:Hector_graph.Hetgraph.t ->
   Hector_core.Compiler.compiled ->
   t
@@ -74,12 +67,6 @@ val create :
     engine (weights unscaled, features graph-proportional).  Raises
     [Hector_gpu.Memory.Out_of_memory] if the inputs alone exceed device
     memory at paper scale.
-
-    The individual optional labels ([?device], [?seed], [?trace],
-    [?memory_planner], [?node_inputs], [?edge_inputs], [?weights]) are the
-    {e deprecated} pre-[Config] interface, kept so existing call sites
-    compile unchanged; when both are given, a label overrides the
-    corresponding [config] field.  New code should pass [~config] only.
 
     {b The graph is frozen at creation.}  A session never observes
     structural changes made after [create]; the old guidance of rebuilding

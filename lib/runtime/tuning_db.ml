@@ -137,22 +137,10 @@ let options_fields (o : Compiler.options) =
 (* --- JSON -------------------------------------------------------------- *)
 
 (* The DB schema is fixed and flat; reading goes through the shared
-   {!Json_lite} value parser, writing stays Printf-based below. *)
+   {!Json_lite} value parser and its field accessors, writing stays
+   Printf-based below. *)
 
-type json = Json_lite.t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Malformed
-
-let parse_json s =
-  match Json_lite.parse s with v -> v | exception Json_lite.Malformed -> raise Malformed
-
-let escape = Json_lite.escape
+exception Malformed = Json_lite.Malformed
 
 let field_to_json = function
   | `Bool b -> if b then "true" else "false"
@@ -170,11 +158,12 @@ let entry_to_json e =
     "{\"model\":\"%s\",\"model_name\":\"%s\",\"device\":\"%s\",\"training\":%b,\
      \"nodes\":[%s],\"edges\":[%s],\"mean_degree\":%.17g,\"options\":{%s},\
      \"options_id\":\"%s\",\"estimated_ms\":%.17g,\"measured_ms\":%.17g}"
-    (escape e.model) (escape e.model_name) (escape e.device) e.training
+    (Hector_obs.json_escape e.model) (Hector_obs.json_escape e.model_name)
+    (Hector_obs.json_escape e.device) e.training
     (ints e.signature.nodes_per_ntype)
     (ints e.signature.edges_per_etype)
     e.signature.mean_degree opts
-    (escape (Compiler.options_id e.options))
+    (Hector_obs.json_escape (Compiler.options_id e.options))
     e.estimated_ms e.measured_ms
 
 let to_json t =
@@ -192,23 +181,7 @@ let save t path = Json_lite.write_atomic path (to_json t)
 
 (* --- decoding ---------------------------------------------------------- *)
 
-let obj_field o name = match o with Obj fields -> List.assoc_opt name fields | _ -> None
-
-let bool_field o name d =
-  match obj_field o name with Some (Bool b) -> b | Some _ -> raise Malformed | None -> d
-
-let num_field o name d =
-  match obj_field o name with Some (Num f) -> f | Some _ -> raise Malformed | None -> d
-
-let str_field o name =
-  match obj_field o name with Some (Str s) -> s | _ -> raise Malformed
-
-let int_array_field o name =
-  match obj_field o name with
-  | Some (Arr l) ->
-      Array.of_list
-        (List.map (function Num f -> int_of_float f | _ -> raise Malformed) l)
-  | _ -> raise Malformed
+open Json_lite
 
 let options_of_json j =
   let tile = int_of_float (num_field j "tile" 16.0) in
@@ -229,7 +202,7 @@ let options_of_json j =
     traversal_schedule = { Ts.warp_accumulate = bool_field j "warp_accumulate" true };
     prefer_node_gather = bool_field j "node_gather" false;
     fuse_ops =
-      (match obj_field j "fuse_ops" with
+      (match member j "fuse_ops" with
       | Some (Bool b) -> Some b
       | Some Null | None -> None
       | Some _ -> raise Malformed);
@@ -237,7 +210,7 @@ let options_of_json j =
 
 let entry_of_json j =
   let options =
-    match obj_field j "options" with Some o -> options_of_json o | None -> raise Malformed
+    match member j "options" with Some o -> options_of_json o | None -> raise Malformed
   in
   {
     model = str_field j "model";
@@ -256,11 +229,8 @@ let entry_of_json j =
   }
 
 let of_json s =
-  match parse_json s with
-  | Obj _ as root -> (
-      match obj_field root "entries" with
-      | Some (Arr l) -> { entries = List.rev_map entry_of_json l }
-      | _ -> raise Malformed)
+  match member (parse s) "entries" with
+  | Some (Arr l) -> { entries = List.rev_map entry_of_json l }
   | _ -> raise Malformed
 
 let load path =

@@ -142,8 +142,10 @@ let test_db_roundtrip () =
   let g300 = graph_of_seed 3 in
   let g_alt = graph_of_seed ~num_nodes:260 ~num_edges:900 4 in
   record_sample db (sample_entry g300);
+  (* a model name needing every kind of JSON escape: quote, backslash and a
+     control byte *)
   record_sample db
-    (sample_entry ~model:"fp-2"
+    (sample_entry ~model:"fp-\"2\\\x01"
        ~options:
          {
            (Compiler.options_of_flags ~compact:false ~fusion:true ()) with
@@ -157,6 +159,10 @@ let test_db_roundtrip () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Tuning_db.save db path;
+      check_bool "saved file has no raw control byte" true
+        (String.for_all
+           (fun c -> c = '\n' || Char.code c >= 0x20)
+           (Hector_runtime.Json_lite.read_file path));
       let loaded = Tuning_db.load path in
       check_int "round-trip size" (Tuning_db.size db) (Tuning_db.size loaded);
       List.iter2

@@ -138,14 +138,21 @@ let test_roundtrip_bitwise () =
       ("layer1.w", T.randn rng [| 3; 2 |]);
     ]
   in
+  (* a model name needing every kind of JSON escape *)
+  let model = "rg\"c\\n\x01" in
   let ck =
-    Checkpoint.create ~model:"rgcn" ~step:17 ~rng:0x1234_5678_9abcL ~epoch:2
+    Checkpoint.create ~model ~step:17 ~rng:0x1234_5678_9abcL ~epoch:2
       ~graph_version:40
       ~meta:[ ("lr", "0.05"); ("note", "quoted \"x\"\n") ]
       tensors
   in
-  let ck' = Checkpoint.decode (Checkpoint.encode ck) in
-  Alcotest.(check string) "model" "rgcn" (Checkpoint.model ck');
+  let encoded = Checkpoint.encode ck in
+  check_bool "header has no raw control byte" true
+    (String.for_all
+       (fun c -> Char.code c >= 0x20)
+       (String.sub encoded 0 (String.index encoded '\n')));
+  let ck' = Checkpoint.decode encoded in
+  Alcotest.(check string) "model" model (Checkpoint.model ck');
   check_int "step" 17 (Checkpoint.step ck');
   check_bool "rng cursor" true (Checkpoint.rng ck' = Some 0x1234_5678_9abcL);
   check_int "epoch" 2 (Checkpoint.epoch ck');
@@ -299,10 +306,13 @@ let test_dist_resume () =
           let ckpt = Checkpoint.load (Option.get (Checkpoint.latest ~dir ())) in
           check_int "checkpoint carries the step" 2 (Checkpoint.step ckpt);
           (* rebuild a cluster from the checkpoint and replay the rest *)
-          let cluster =
-            Replica.create ~config:(dist_config parts)
-              ~weights:[ Checkpoint.tensors ckpt ] ~features ~graph [ compiled ]
+          let config =
+            {
+              (dist_config parts) with
+              Replica.Config.weights = Some [ Checkpoint.tensors ckpt ];
+            }
           in
+          let cluster = Replica.create ~config ~features ~graph [ compiled ] in
           for step = 3 to 4 do
             let loss = Replica.train_step cluster ~lr:0.05 ~labels () in
             check_bool

@@ -15,6 +15,8 @@ module Exec = Hector_runtime.Exec
 module Models = Hector_models.Model_defs
 module Reference = Hector_models.Reference
 
+let seeded seed = { Session.Config.default with Session.Config.seed }
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -275,7 +277,7 @@ let test_graph ?(seed = 3) ?(nodes = 80) ?(edges = 300) () =
 let forward_out ~graph ~compact ~fusion name =
   let options = Compiler.options_of_flags ~compact ~fusion () in
   let compiled = Compiler.compile ~options (Models.by_name name ~in_dim:8 ~out_dim:6 ()) in
-  let session = Session.create ~seed:5 ~graph compiled in
+  let session = Session.create ~config:(seeded 5) ~graph compiled in
   List.assoc "out" (Session.forward session)
 
 let test_exec_traversal_matches_sequential () =
@@ -301,7 +303,7 @@ let test_train_step_matches_sequential () =
             ~options:(Compiler.options_of_flags ~training:true ~compact:false ~fusion:false ())
             (Models.by_name name ~in_dim:8 ~out_dim:4 ())
         in
-        let session = Session.create ~seed:5 ~graph compiled in
+        let session = Session.create ~config:(seeded 5) ~graph compiled in
         let loss = Session.train_step session ~lr:0.1 ~labels () in
         (loss, Session.weights session)
       in
@@ -327,7 +329,7 @@ let test_reference_models_match_sequential () =
   List.iter
     (fun (name, build) ->
       let compiled = Compiler.compile ~options:Compiler.default_options (build ()) in
-      let session = Session.create ~seed:5 ~graph compiled in
+      let session = Session.create ~config:(seeded 5) ~graph compiled in
       let env = (Session.exec session).Exec.env in
       let inputs =
         List.filter_map
@@ -343,11 +345,21 @@ let test_reference_models_match_sequential () =
 
 let test_json_escape () =
   let check_str = Alcotest.(check string) in
-  check_str "plain" "abc" (Engine.json_escape "abc");
-  check_str "quote" "a\\\"b" (Engine.json_escape "a\"b");
-  check_str "backslash" "a\\\\b" (Engine.json_escape "a\\b");
-  check_str "newline+tab" "a\\nb\\tc" (Engine.json_escape "a\nb\tc");
-  check_str "control" "x\\u0001y" (Engine.json_escape "x\x01y")
+  check_str "plain" "abc" (Hector_obs.json_escape "abc");
+  check_str "quote" "a\\\"b" (Hector_obs.json_escape "a\"b");
+  check_str "backslash" "a\\\\b" (Hector_obs.json_escape "a\\b");
+  check_str "newline+tab" "a\\nb\\tc" (Hector_obs.json_escape "a\nb\tc");
+  check_str "control" "x\\u0001y" (Hector_obs.json_escape "x\x01y");
+  (* the reader inverts the writer on every ASCII byte, and decodes \u
+     escapes (surrogate pairs included) to UTF-8 *)
+  let module Json = Hector_runtime.Json_lite in
+  let ascii = String.init 128 Char.chr in
+  check_bool "escape/parse round trip" true
+    (Json.parse ("\"" ^ Hector_obs.json_escape ascii ^ "\"") = Json.Str ascii);
+  check_bool "\\u and \\f decode" true
+    (Json.parse "\"\\u00e9\\f\\ud83d\\ude00\"" = Json.Str "\xc3\xa9\x0c\xf0\x9f\x98\x80");
+  check_bool "lone surrogate rejected" true
+    (match Json.parse "\"\\udc00\"" with _ -> false | exception Json.Malformed -> true)
 
 let suite =
   [
