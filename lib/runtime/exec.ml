@@ -193,10 +193,9 @@ let rec eval t iter locals expr =
       let out = Array.make n 0.0 in
       for i = 0 to k - 1 do
         let xi = xv.(i) in
-        if xi <> 0.0 then
-          for j = 0 to n - 1 do
-            out.(j) <- out.(j) +. (xi *. Tensor.get2 wm i j)
-          done
+        for j = 0 to n - 1 do
+          out.(j) <- out.(j) +. (xi *. Tensor.get2 wm i j)
+        done
       done;
       if n = 1 then Scalar out.(0) else Vector out
   | Ir.Linear_t (x, Ir.Weight (w, slice)) ->
@@ -276,10 +275,9 @@ let exec_grad_weight t iter locals ~program ~grads name x dy =
         fail "Grad_weight %S: outer(%d, %d) vs %dx%d" name (Array.length xv) (Array.length dyvec)
           k n;
       for i = 0 to k - 1 do
-        if xv.(i) <> 0.0 then
-          for j = 0 to n - 1 do
-            Tensor.set2 gslice i j (Tensor.get2 gslice i j +. (xv.(i) *. dyvec.(j)))
-          done
+        for j = 0 to n - 1 do
+          Tensor.set2 gslice i j (Tensor.get2 gslice i j +. (xv.(i) *. dyvec.(j)))
+        done
       done
   | 1, dy_s ->
       let s = to_scalar dy_s in
@@ -1104,12 +1102,7 @@ let run_gemm t (spec : Gs.t) =
             | None -> ()
             | Some sname ->
                 let s = Env.find t.env sname in
-                for i = 0 to count - 1 do
-                  let factor = Tensor.get2 s.Env.tensor (start + i) 0 in
-                  for j = 0 to out.Env.dim - 1 do
-                    Tensor.set2 os i j (Tensor.get2 os i j *. factor)
-                  done
-                done
+                Tensor.scale_rows_inplace os (Tensor.sub_rows s.Env.tensor start count)
           end)
         (etype_ranges t out_space)
   | Gs.Edge_linear_dinput { side; weight; grad_output; grad_out_space; grad_input; transpose } ->
@@ -1201,15 +1194,11 @@ let run_weight_op t op =
         | Some r when Tensor.shape r = [| slices; k |] -> r
         | _ -> Tensor.zeros [| slices; k |]
       in
+      (* result[s] = W[s] · v[s]⟨half⟩, as the GEMM v[s]⟨half⟩ᵀ·W[s]ᵀ:
+         each element sums j-ascending, like the dot product it is *)
       for s = 0 to slices - 1 do
-        let ws = Tensor.slice0 w s in
-        for i = 0 to k - 1 do
-          let acc = ref 0.0 in
-          for j = 0 to n - 1 do
-            acc := !acc +. (Tensor.get2 ws i j *. Tensor.get2 v s (offset + j))
-          done;
-          Tensor.set2 result s i !acc
-        done
+        Tensor.matmul_into ~trans_b:true (Tensor.row_segment v s offset n) (Tensor.slice0 w s)
+          (Tensor.sub_rows result s 1)
       done;
       Env.add_weight t.env ~name:out result
   | Lf.Mat_mat { left; left_slice; right; out } ->

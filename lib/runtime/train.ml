@@ -68,13 +68,12 @@ let backprop_weight_ops ~(exec : Exec.t) ops =
                 let ws = Tensor.slice0 w s and dws = Tensor.slice0 dw s in
                 for i = 0 to k - 1 do
                   let gi = Tensor.get2 dout s i in
-                  if gi <> 0.0 then
-                    for j = 0 to n - 1 do
-                      Tensor.set2 dws i j
-                        (Tensor.get2 dws i j +. (gi *. Tensor.get2 v s (offset + j)));
-                      Tensor.set2 dv s (offset + j)
-                        (Tensor.get2 dv s (offset + j) +. (gi *. Tensor.get2 ws i j))
-                    done
+                  for j = 0 to n - 1 do
+                    Tensor.set2 dws i j
+                      (Tensor.get2 dws i j +. (gi *. Tensor.get2 v s (offset + j)));
+                    Tensor.set2 dv s (offset + j)
+                      (Tensor.get2 dv s (offset + j) +. (gi *. Tensor.get2 ws i j))
+                  done
                 done
               done;
               Engine.launch exec.Exec.engine

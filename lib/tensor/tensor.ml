@@ -212,6 +212,13 @@ let sub_rows m start len =
     shape_error "sub_rows: [%d, %d) out of %d rows" start (start + len) m.shape.(0);
   { shape = [| len; m.shape.(1) |]; offset = m.offset + (start * m.shape.(1)); data = m.data }
 
+let row_segment m i lo len =
+  if ndim m <> 2 then shape_error "row_segment: not a matrix";
+  if i < 0 || i >= m.shape.(0) then shape_error "row_segment: row %d out of %d" i m.shape.(0);
+  if lo < 0 || len < 0 || lo + len > m.shape.(1) then
+    shape_error "row_segment: columns [%d, %d) out of %d" lo (lo + len) m.shape.(1);
+  { shape = [| 1; len |]; offset = m.offset + (i * m.shape.(1)) + lo; data = m.data }
+
 let to_2d m =
   if ndim m <> 2 then shape_error "to_2d: not a matrix";
   Array.init m.shape.(0) (fun i ->
@@ -258,6 +265,20 @@ let axpy a x y =
         y.data.(y.offset + i) <- y.data.(y.offset + i) +. (a *. x.data.(x.offset + i))
       done)
 
+let scale_rows_inplace m s =
+  if ndim m <> 2 || ndim s <> 2 then shape_error "scale_rows_inplace: operands must be 2-D";
+  let r = m.shape.(0) and c = m.shape.(1) in
+  if s.shape.(0) <> r || s.shape.(1) < 1 then
+    shape_error "scale_rows_inplace: factors %dx%d for %d rows" s.shape.(0) s.shape.(1) r;
+  let scols = s.shape.(1) in
+  Domain_pool.parallel_for ~grain:(row_grain c) r (fun lo hi ->
+      for i = lo to hi - 1 do
+        let f = s.data.(s.offset + (i * scols)) and base = m.offset + (i * c) in
+        for j = base to base + c - 1 do
+          m.data.(j) <- m.data.(j) *. f
+        done
+      done)
+
 let fill t v = Array.fill t.data t.offset (numel t) v
 
 let exp t = map Stdlib.exp t
@@ -266,43 +287,188 @@ let leaky_relu ?(slope = 0.01) t = map (fun x -> if x > 0.0 then x else slope *.
 
 let relu t = map (fun x -> if x > 0.0 then x else 0.0) t
 
+(* --- GEMM: one register-blocked kernel behind every access scheme ----
+   Hector's GEMM template (paper §4.2) applies the gather, scatter and
+   transpose access schemes inside one tile loop, so the per-edge operand
+   matrix is never materialized.  Here that template is [gemm_row]; every
+   public GEMM validates its shapes and indices, describes its access
+   scheme as strides plus the role of its index array, and hands the rest
+   to the kernel, which then reads and writes without bounds checks.
+
+   The logical problem is C[m×n] := A[m×kk]·B[kk×n] + beta·C with
+     A(i,k) = a.(a_off + row(i)·a_rs + step(k)·a_ks)
+     B(k,j) = b.(b_off + k·b_ks + j·b_js)
+     C(i,j) = c.(c_off + out(i)·c_rs + j)
+   where [row], [step] and [out] are the identity except the one named by
+   [access], which reads through [idx].  A transpose is a swap of strides.
+
+   Each output element is one unboxed accumulator, summed k-ascending from
+   +0.0 (beta = 0) or beta·C; a scattered row sums from +0.0 and its total
+   is added to C once, as materialize-then-scatter does.  No term is
+   skipped, so a NaN or Inf in A or B reaches C even where the other factor
+   is zero.  The order is fixed per element, so results are bitwise equal
+   at every domain count. *)
+
+type access =
+  | Direct
+  | Gather_rows  (* logical row i of A is physical row idx.(i) *)
+  | Gather_k  (* reduction step k reads physical row idx.(k) of A *)
+  | Scatter_rows  (* product row i accumulates into row idx.(i) of C *)
+
+type gemm = {
+  access : access;
+  idx : int array;
+  m : int;
+  kk : int;
+  n : int;
+  beta : float;
+  a : float array;
+  a_off : int;
+  a_rs : int;
+  a_ks : int;
+  b : float array;
+  b_off : int;
+  b_ks : int;
+  b_js : int;
+  c : float array;
+  c_off : int;
+  c_rs : int;
+}
+
+(* Reduction steps [k0, k1) of logical row [i] of C, four columns per
+   tile.  Past the first chunk the accumulators resume from the partial
+   sums stored in C, which is exact.  [Array.unsafe_get] is written inline
+   on arrays typed [float array]: a polymorphic alias of it would box every
+   float it returns. *)
+let gemm_row g i k0 k1 =
+  let { access; idx; n; a; a_ks; b; b_ks; b_js; c; _ } = g in
+  let arow = g.a_off + ((match access with Gather_rows -> Array.unsafe_get idx i | _ -> i) * g.a_rs) in
+  let crow = g.c_off + ((match access with Scatter_rows -> Array.unsafe_get idx i | _ -> i) * g.c_rs) in
+  let scatter = access = Scatter_rows and gather_k = access = Gather_k in
+  let beta = if scatter then 0.0 else if k0 > 0 then 1.0 else g.beta in
+  let load = beta <> 0.0 in
+  let bj2 = 2 * b_js and bj3 = 3 * b_js in
+  let j = ref 0 in
+  while !j + 4 <= n do
+    let cj = crow + !j in
+    let s0 = ref (if load then beta *. Array.unsafe_get c cj else 0.0) in
+    let s1 = ref (if load then beta *. Array.unsafe_get c (cj + 1) else 0.0) in
+    let s2 = ref (if load then beta *. Array.unsafe_get c (cj + 2) else 0.0) in
+    let s3 = ref (if load then beta *. Array.unsafe_get c (cj + 3) else 0.0) in
+    let bp = ref (g.b_off + (!j * b_js) + (k0 * b_ks)) in
+    if gather_k then
+      for k = k0 to k1 - 1 do
+        let av = Array.unsafe_get a (arow + (Array.unsafe_get idx k * a_ks)) in
+        let p = !bp in
+        s0 := !s0 +. (av *. Array.unsafe_get b p);
+        s1 := !s1 +. (av *. Array.unsafe_get b (p + b_js));
+        s2 := !s2 +. (av *. Array.unsafe_get b (p + bj2));
+        s3 := !s3 +. (av *. Array.unsafe_get b (p + bj3));
+        bp := p + b_ks
+      done
+    else begin
+      let ap = ref (arow + (k0 * a_ks)) in
+      for _ = k0 to k1 - 1 do
+        let av = Array.unsafe_get a !ap in
+        let p = !bp in
+        s0 := !s0 +. (av *. Array.unsafe_get b p);
+        s1 := !s1 +. (av *. Array.unsafe_get b (p + b_js));
+        s2 := !s2 +. (av *. Array.unsafe_get b (p + bj2));
+        s3 := !s3 +. (av *. Array.unsafe_get b (p + bj3));
+        ap := !ap + a_ks;
+        bp := p + b_ks
+      done
+    end;
+    if scatter then begin
+      Array.unsafe_set c cj (Array.unsafe_get c cj +. !s0);
+      Array.unsafe_set c (cj + 1) (Array.unsafe_get c (cj + 1) +. !s1);
+      Array.unsafe_set c (cj + 2) (Array.unsafe_get c (cj + 2) +. !s2);
+      Array.unsafe_set c (cj + 3) (Array.unsafe_get c (cj + 3) +. !s3)
+    end
+    else begin
+      Array.unsafe_set c cj !s0;
+      Array.unsafe_set c (cj + 1) !s1;
+      Array.unsafe_set c (cj + 2) !s2;
+      Array.unsafe_set c (cj + 3) !s3
+    end;
+    j := !j + 4
+  done;
+  (* the n mod 4 leftover columns, one accumulator each *)
+  while !j < n do
+    let cj = crow + !j in
+    let s = ref (if load then beta *. Array.unsafe_get c cj else 0.0) in
+    let bp = ref (g.b_off + (!j * b_js) + (k0 * b_ks)) in
+    for k = k0 to k1 - 1 do
+      let step = if gather_k then Array.unsafe_get idx k else k in
+      s := !s +. (Array.unsafe_get a (arow + (step * a_ks)) *. Array.unsafe_get b !bp);
+      bp := !bp + b_ks
+    done;
+    Array.unsafe_set c cj (if scatter then Array.unsafe_get c cj +. !s else !s);
+    incr j
+  done
+
+(* Rows [lo, hi) of C.  A long reduction runs in chunks of about 128 KiB
+   of B, so a chunk stays cache-resident while every row of the block
+   sweeps it.  A scatter is destination-partitioned: it sweeps every
+   product row and computes those landing in [lo, hi), so no two domains
+   write one row and duplicate destinations keep their order; its row sum
+   is added to C once, so it is never chunked. *)
+let gemm_rows g lo hi =
+  match g.access with
+  | Scatter_rows ->
+      for i = 0 to g.m - 1 do
+        let d = Array.unsafe_get g.idx i in
+        if d >= lo && d < hi then gemm_row g i 0 g.kk
+      done
+  | Direct | Gather_rows | Gather_k ->
+      (* at least one chunk, so kk = 0 still sets C := beta·C *)
+      let chunk = max 1 (16384 / max 1 g.n) in
+      let k0 = ref 0 and more = ref true in
+      while !more do
+        let k1 = min g.kk (!k0 + chunk) in
+        for i = lo to hi - 1 do
+          gemm_row g i !k0 k1
+        done;
+        k0 := k1;
+        more := k1 < g.kk
+      done
+
+(* Run [g] over the domain pool; [out_rows] is the row count of C. *)
+let gemm g ~out_rows =
+  match g.access with
+  | Scatter_rows when Domain_pool.sequential () || g.m * g.n <= elt_grain -> gemm_rows g 0 out_rows
+  | Scatter_rows ->
+      Domain_pool.parallel_for ~grain:(row_grain (max 1 (g.m * g.n / max 1 out_rows))) out_rows
+        (gemm_rows g)
+  | Direct | Gather_rows | Gather_k ->
+      Domain_pool.parallel_for ~grain:(max 1 (32768 / max 1 (g.kk * g.n))) g.m (gemm_rows g)
+
+(* Strides of a logical [kk×n] B read from [b], transposed or not. *)
+let b_strides ~trans_b b = if trans_b then (1, b.shape.(1)) else (b.shape.(1), 1)
+
+let check_2d what a b c =
+  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then shape_error "%s: operands must be 2-D" what
+
+let check_idx what idx bound =
+  Array.iter (fun r -> if r < 0 || r >= bound then shape_error "%s: row %d out of %d" what r bound) idx
+
 let matmul_into ?(trans_a = false) ?(trans_b = false) ?(beta = 0.0) a b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then shape_error "matmul: operands must be 2-D";
+  check_2d "matmul" a b c;
   let am, ak = if trans_a then (a.shape.(1), a.shape.(0)) else (a.shape.(0), a.shape.(1)) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
   if ak <> bk then shape_error "matmul: inner dims %d vs %d" ak bk;
   if c.shape.(0) <> am || c.shape.(1) <> bn then
     shape_error "matmul: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) am bn;
-  if beta = 0.0 then fill c 0.0 else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  (* Cache-blocked over output-row blocks: each domain owns a contiguous
-     block of C rows (so writes never race) and keeps the i-k-j order
-     inside its block for locality on the common (no-transpose) path. *)
-  let row_flops = max 1 (ak * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) am (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to ak - 1 do
-          let aik =
-            if trans_a then a.data.(a.offset + (k * acols) + i)
-            else a.data.(a.offset + (i * acols) + k)
-          in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-              done
-        done
-      done)
+  let acols = a.shape.(1) in
+  let b_ks, b_js = b_strides ~trans_b b in
+  gemm ~out_rows:am
+    {
+      access = Direct; idx = [||]; m = am; kk = ak; n = bn; beta;
+      a = a.data; a_off = a.offset;
+      a_rs = (if trans_a then 1 else acols); a_ks = (if trans_a then acols else 1);
+      b = b.data; b_off = b.offset; b_ks; b_js;
+      c = c.data; c_off = c.offset; c_rs = c.shape.(1);
+    }
 
 let matmul ?(trans_a = false) ?(trans_b = false) a b =
   let am = if trans_a then a.shape.(1) else a.shape.(0) in
@@ -311,65 +477,30 @@ let matmul ?(trans_a = false) ?(trans_b = false) a b =
   matmul_into ~trans_a ~trans_b a b c;
   c
 
-(* --- Fused access-scheme GEMM kernels (paper §4.2) ------------------
-   The gather, scatter and transpose access schemes are applied on the fly
-   inside the row-blocked tile loop, so the per-edge operand matrix is never
-   materialized.  Each kernel performs the floating-point operations in the
-   exact order of its materialize-then-matmul equivalent (per-row k-ascending
-   accumulation), so results are bitwise identical to the unfused path. *)
-
 (* c := A[idx] * B (+ beta*c), where A[idx] is the row-gathered view of [a]:
    logical row i of the product reads physical row idx.(i) of [a]. *)
 let matmul_gather_into ?(trans_b = false) ?(beta = 0.0) a ~idx b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_gather_into: operands must be 2-D";
+  check_2d "matmul_gather_into" a b c;
   let m = Array.length idx in
   let ak = a.shape.(1) in
   let bk, bn = if trans_b then (b.shape.(1), b.shape.(0)) else (b.shape.(0), b.shape.(1)) in
   if ak <> bk then shape_error "matmul_gather_into: inner dims %d vs %d" ak bk;
   if c.shape.(0) <> m || c.shape.(1) <> bn then
     shape_error "matmul_gather_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) m bn;
-  let arows = a.shape.(0) in
-  Array.iter
-    (fun r -> if r < 0 || r >= arows then shape_error "matmul_gather_into: row %d out of %d" r arows)
-    idx;
-  if beta = 0.0 then fill c 0.0
-  else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let row_flops = max 1 (ak * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) m (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        let arow = a.offset + (idx.(i) * acols) in
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to ak - 1 do
-          let aik = a.data.(arow + k) in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-              done
-        done
-      done)
+  check_idx "matmul_gather_into" idx a.shape.(0);
+  let b_ks, b_js = b_strides ~trans_b b in
+  gemm ~out_rows:m
+    {
+      access = Gather_rows; idx; m; kk = ak; n = bn; beta;
+      a = a.data; a_off = a.offset; a_rs = ak; a_ks = 1;
+      b = b.data; b_off = b.offset; b_ks; b_js;
+      c = c.data; c_off = c.offset; c_rs = bn;
+    }
 
-(* Row idx.(i) of [c] accumulates row i of the product A*B: the scatter is
-   applied as each product row completes, through a per-domain row buffer
-   (so duplicate destinations keep their sequential accumulation order).
-   Parallelism is destination-partitioned over the pool, like
-   {!scatter_rows_add}: each domain owns a contiguous slice of [c]'s rows,
-   sweeps the whole index, and computes only the product rows that land in
-   its slice — no two domains ever write the same row. *)
+(* Row idx.(i) of [c] accumulates row i of the product A*B, added once the
+   row's sum is complete. *)
 let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_scatter_add_into: operands must be 2-D";
+  check_2d "matmul_scatter_add_into" a b c;
   let m = a.shape.(0) in
   if Array.length idx <> m then
     shape_error "matmul_scatter_add_into: %d rows vs %d indices" m (Array.length idx);
@@ -378,80 +509,35 @@ let matmul_scatter_add_into ?(trans_b = false) a b ~idx c =
   if ak <> bk then shape_error "matmul_scatter_add_into: inner dims %d vs %d" ak bk;
   if c.shape.(1) <> bn then
     shape_error "matmul_scatter_add_into: output has %d cols, expected %d" c.shape.(1) bn;
-  let nrows = c.shape.(0) in
-  Array.iter
-    (fun r ->
-      if r < 0 || r >= nrows then shape_error "matmul_scatter_add_into: row %d out of %d" r nrows)
-    idx;
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let body row_lo row_hi =
-    let buf = Array.make (max 1 bn) 0.0 in
-    for i = 0 to m - 1 do
-      let dst = idx.(i) in
-      if dst >= row_lo && dst < row_hi then begin
-        Array.fill buf 0 bn 0.0;
-        let arow = a.offset + (i * acols) in
-        for k = 0 to ak - 1 do
-          let aik = a.data.(arow + k) in
-          if aik <> 0.0 then
-            if trans_b then
-              for j = 0 to bn - 1 do
-                buf.(j) <- buf.(j) +. (aik *. b.data.(b.offset + (j * bcols) + k))
-              done
-            else
-              let brow = b.offset + (k * bcols) in
-              for j = 0 to bn - 1 do
-                buf.(j) <- buf.(j) +. (aik *. b.data.(brow + j))
-              done
-        done;
-        let dbase = c.offset + (dst * ccols) in
-        for j = 0 to bn - 1 do
-          c.data.(dbase + j) <- c.data.(dbase + j) +. buf.(j)
-        done
-      end
-    done
-  in
-  if Domain_pool.sequential () || m * bn <= elt_grain then body 0 nrows
-  else
-    Domain_pool.parallel_for ~grain:(row_grain (max 1 (m * bn / max 1 nrows))) nrows body
+  check_idx "matmul_scatter_add_into" idx c.shape.(0);
+  let b_ks, b_js = b_strides ~trans_b b in
+  gemm ~out_rows:c.shape.(0)
+    {
+      access = Scatter_rows; idx; m; kk = ak; n = bn; beta = 1.0;
+      a = a.data; a_off = a.offset; a_rs = ak; a_ks = 1;
+      b = b.data; b_off = b.offset; b_ks; b_js;
+      c = c.data; c_off = c.offset; c_rs = bn;
+    }
 
 (* c := A[idx]^T * B (+ beta*c) — the transpose access scheme composed with
-   the gather, used for weight gradients (dW += X[src]^T * dY). *)
+   the gather, used for weight gradients (dW += X[src]^T * dY): reduction
+   step k reads row idx.(k) of [a]. *)
 let matmul_gather_t_into ?(beta = 0.0) a ~idx b c =
-  if ndim a <> 2 || ndim b <> 2 || ndim c <> 2 then
-    shape_error "matmul_gather_t_into: operands must be 2-D";
+  check_2d "matmul_gather_t_into" a b c;
   let m = Array.length idx in
   if b.shape.(0) <> m then
     shape_error "matmul_gather_t_into: %d indices vs %d rows of b" m b.shape.(0);
   let ak = a.shape.(1) and bn = b.shape.(1) in
   if c.shape.(0) <> ak || c.shape.(1) <> bn then
     shape_error "matmul_gather_t_into: output %dx%d vs expected %dx%d" c.shape.(0) c.shape.(1) ak bn;
-  let arows = a.shape.(0) in
-  Array.iter
-    (fun r ->
-      if r < 0 || r >= arows then shape_error "matmul_gather_t_into: row %d out of %d" r arows)
-    idx;
-  if beta = 0.0 then fill c 0.0
-  else if beta <> 1.0 then
-    Domain_pool.parallel_for ~grain:elt_grain (numel c) (fun lo hi ->
-        for i = lo to hi - 1 do
-          c.data.(c.offset + i) <- beta *. c.data.(c.offset + i)
-        done);
-  let acols = a.shape.(1) and bcols = b.shape.(1) and ccols = c.shape.(1) in
-  let row_flops = max 1 (m * bn) in
-  Domain_pool.parallel_for ~grain:(max 1 (32768 / row_flops)) ak (fun row_lo row_hi ->
-      for i = row_lo to row_hi - 1 do
-        let crow = c.offset + (i * ccols) in
-        for k = 0 to m - 1 do
-          let aik = a.data.(a.offset + (idx.(k) * acols) + i) in
-          if aik <> 0.0 then begin
-            let brow = b.offset + (k * bcols) in
-            for j = 0 to bn - 1 do
-              c.data.(crow + j) <- c.data.(crow + j) +. (aik *. b.data.(brow + j))
-            done
-          end
-        done
-      done)
+  check_idx "matmul_gather_t_into" idx a.shape.(0);
+  gemm ~out_rows:ak
+    {
+      access = Gather_k; idx; m = ak; kk = m; n = bn; beta;
+      a = a.data; a_off = a.offset; a_rs = 1; a_ks = ak;
+      b = b.data; b_off = b.offset; b_ks = bn; b_js = 1;
+      c = c.data; c_off = c.offset; c_rs = bn;
+    }
 
 let dot a b =
   if numel a <> numel b then shape_error "dot: %d vs %d elements" (numel a) (numel b);

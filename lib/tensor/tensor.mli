@@ -144,6 +144,10 @@ val sub_rows : t -> int -> int -> t
     [start .. start+len-1] of matrix [m] — the segment primitive behind
     segment-MM. *)
 
+val row_segment : t -> int -> int -> int -> t
+(** [row_segment m i lo len] is a zero-copy [\[|1; len|\]] view of columns
+    [lo .. lo+len-1] of row [i] of matrix [m]. *)
+
 (** {1 Elementwise} *)
 
 val map : (float -> float) -> t -> t
@@ -173,6 +177,10 @@ val add_inplace : t -> t -> unit
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y := a*x + y] (shapes must match). *)
 
+val scale_rows_inplace : t -> t -> unit
+(** [scale_rows_inplace m s] multiplies row [i] of matrix [m] by the
+    element [(i, 0)] of [s], which has one row per row of [m]. *)
+
 val fill : t -> float -> unit
 (** Overwrite every element. *)
 
@@ -193,15 +201,18 @@ val matmul : ?trans_a:bool -> ?trans_b:bool -> t -> t -> t
     transposing either operand logically (no materialized transpose). *)
 
 val matmul_into : ?trans_a:bool -> ?trans_b:bool -> ?beta:float -> t -> t -> t -> unit
-(** [matmul_into a b c] computes [c := a*b + beta*c] (default [beta = 0]). *)
+(** [matmul_into a b c] computes [c := a*b + beta*c] (default [beta = 0];
+    with [beta = 0] the old contents of [c] are never read). *)
 
 (** {2 Fused access-scheme GEMM (paper §4.2)}
 
-    These kernels apply the gather / scatter / transpose access schemes
-    {e on the fly inside the row-blocked loop}, so the per-edge operand
-    matrix is never materialized.  Floating-point operations are performed
-    in the exact order of the materialize-then-matmul equivalent, so the
-    results are bitwise identical to the unfused path. *)
+    Every GEMM here, {!matmul_into} included, runs one register-blocked
+    kernel; the gather / scatter / transpose access schemes are parameters
+    of its tile loop, so the per-edge operand matrix is never materialized.
+    Each output element is summed k-ascending, the order of the
+    materialize-then-matmul equivalent, so results are bitwise identical to
+    the unfused path and across domain counts.  No zero term is skipped: a
+    NaN or Inf in either operand reaches the output. *)
 
 val matmul_gather_into : ?trans_b:bool -> ?beta:float -> t -> idx:int array -> t -> t -> unit
 (** [matmul_gather_into a ~idx b c] computes [c := a\[idx\] * b + beta*c]

@@ -375,6 +375,72 @@ let test_csr_layout_same_outputs_different_cost () =
   (* the CSR ownership search costs more per edge than COO subscripts *)
   check_bool "CSR costs more here" true (t_csr > t_coo)
 
+(* --- IEEE numerics --- *)
+
+(* A traversal-evaluated typed linear: the ReLU keeps it out of the GEMM
+   template, so the per-edge [Linear] of the walker computes
+   relu([-1, 1])·W = [0, 1]·W.  A NaN or Inf in W's first row must reach
+   the output although its factor is zero. *)
+let test_traversal_linear_propagates_nan () =
+  let graph = test_graph () in
+  let program =
+    {
+      Ir.name = "relu_linear";
+      decls =
+        [
+          Ir.Node_input { name = "h"; dim = 2 };
+          Ir.Weight_mat { name = "W"; slice = Ir.By_etype; rows = 2; cols = 2 };
+        ];
+      body =
+        [
+          Ir.For_each
+            ( Ir.Edges,
+              [
+                Ir.Assign
+                  ( Ir.Cur_edge,
+                    "msg",
+                    Ir.Linear
+                      (Ir.Unop (Ir.Relu, Ir.Feature (Ir.Src, "h")), Ir.Weight ("W", Ir.By_etype)) );
+              ] );
+          Ir.For_each
+            ( Ir.Nodes,
+              [
+                Ir.For_each
+                  (Ir.Incoming, [ Ir.Accumulate (Ir.Cur_node, "out", Ir.Data (Ir.Cur_edge, "msg")) ]);
+              ] );
+        ];
+      outputs = [ "out" ];
+    }
+  in
+  let compiled =
+    Compiler.compile ~options:(Compiler.options_of_flags ~compact:false ~fusion:false ()) program
+  in
+  check_bool "no GEMM step: the walker evaluates the linear" false
+    (List.exists (function Plan.Gemm _ -> true | _ -> false) (Plan.flatten_steps compiled.Compiler.forward));
+  let h = T.init [| graph.G.num_nodes; 2 |] (fun idx -> if idx.(1) = 0 then -1.0 else 1.0) in
+  let has_in = Array.make graph.G.num_nodes false in
+  Array.iter (fun d -> has_in.(d) <- true) graph.G.dst;
+  List.iter
+    (fun x ->
+      let w =
+        T.init [| G.num_etypes graph; 2; 2 |] (fun idx ->
+            match (idx.(1), idx.(2)) with 0, 0 -> x | 0, _ -> 1.0 | _, 0 -> 2.0 | _ -> 3.0)
+      in
+      let config =
+        { (seeded 5) with Session.Config.node_inputs = [ ("h", h) ]; weights = [ ("W", w) ] }
+      in
+      let out = List.assoc "out" (Session.forward (Session.create ~config ~graph compiled)) in
+      Array.iteri
+        (fun v incoming ->
+          if incoming then begin
+            check_bool (Printf.sprintf "node %d: [0,1]·[%g,2] is NaN" v x) true
+              (Float.is_nan (T.get2 out v 0));
+            check_bool (Printf.sprintf "node %d: finite column stays finite" v) true
+              (Float.is_finite (T.get2 out v 1))
+          end)
+        has_in)
+    [ Float.nan; Float.infinity ]
+
 (* --- failure injection --- *)
 
 let test_session_rejects_bad_weight_shape () =
@@ -501,4 +567,5 @@ let suite =
     Alcotest.test_case "inference session rejects training" `Quick
       test_inference_session_rejects_training;
     Alcotest.test_case "opaque fallback executes" `Quick test_opaque_fallback_executes;
+    Alcotest.test_case "traversal Linear propagates NaN/Inf" `Quick test_traversal_linear_propagates_nan;
   ]

@@ -333,6 +333,243 @@ let prop_concat_split =
       let a', b' = T.split_cols (T.concat_cols a b) (T.cols a) in
       T.approx_equal ~tol:0.0 a a' && T.approx_equal ~tol:0.0 b b')
 
+(* --- the one GEMM kernel: bitwise oracle, NaN propagation, allocation --- *)
+
+module Dp = Hector_tensor.Domain_pool
+
+let with_domains d f =
+  Dp.set_num_domains (Some d);
+  Fun.protect ~finally:(fun () -> Dp.set_num_domains None) f
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let bits_equal a b =
+  T.shape a = T.shape b && Array.for_all2 same_bits (T.to_flat_array a) (T.to_flat_array b)
+
+(* ReLU-style values: exact zeros of both signs are common. *)
+let zero_heavy rng =
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 -> 0.0
+  | 4 -> -0.0
+  | _ -> (Rng.uniform rng *. 4.0) -. 2.0
+
+(* A [rows × cols] operand that is a view at a nonzero offset — a
+   [sub_rows] window of a taller matrix or a [slice0] of a stack — returned
+   as its parent and the function taking a parent to the view, so the
+   output can be checked outside the view too. *)
+let operand rng rows cols =
+  let fill shape = T.init shape (fun _ -> zero_heavy rng) in
+  if Rng.int rng 2 = 0 then
+    let pad = 1 + Rng.int rng 3 in
+    (fill [| rows + pad + 1; cols |], fun p -> T.sub_rows p pad rows)
+  else
+    let s = 1 + Rng.int rng 2 in
+    (fill [| 3; rows; cols |], fun p -> T.slice0 p s)
+
+let view_of rng rows cols =
+  let parent, view = operand rng rows cols in
+  view parent
+
+(* The naive oracle: each element sums A(i,k)·B(k,j) for k = 0, 1, ... from
+   +0.0 (beta = 0) or beta·C; a scattered product row sums from +0.0 and is
+   then added to its destination row, rows in ascending order. *)
+let sum_k kk init a b =
+  let acc = ref init in
+  for k = 0 to kk - 1 do
+    acc := !acc +. (a k *. b k)
+  done;
+  !acc
+
+let oracle_into ~m ~kk ~n ~beta ~a ~b c =
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let init = if beta = 0.0 then 0.0 else beta *. T.get2 c i j in
+      T.set2 c i j (sum_k kk init (a i) (fun k -> b k j))
+    done
+  done
+
+let oracle_scatter ~m ~kk ~n ~a ~b ~idx c =
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let d = idx.(i) in
+      T.set2 c d j (T.get2 c d j +. sum_k kk 0.0 (a i) (fun k -> b k j))
+    done
+  done
+
+(* (m, kk, n) of C[m×n] = A[m×kk]·B[kk×n].  Small shapes reach every
+   n mod 4, odd kk, m = 0 and empty indices; tall ones split rows across
+   domains; long ones run the reduction in several cache chunks. *)
+let gemm_shape rng =
+  match Rng.int rng 4 with
+  | 0 | 1 -> (Rng.int rng 7, Rng.int rng 8, Rng.int rng 10)
+  | 2 -> (700 + Rng.int rng 300, 7 + Rng.int rng 3, 7 + Rng.int rng 3)
+  | _ -> (1 + Rng.int rng 3, 2100 + Rng.int rng 600, 7 + Rng.int rng 4)
+
+let prop_gemm_oracle =
+  QCheck.Test.make ~name:"every GEMM entry point == k-ascending oracle, bitwise, 1/2/4 domains"
+    ~count:30
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m, kk, n = gemm_shape rng in
+      let get t i j = T.get2 t i j in
+      let b_of ~trans_b bt = if trans_b then fun k j -> get bt j k else get bt in
+      let bt_of ~trans_b = if trans_b then view_of rng n kk else view_of rng kk n in
+      (* one case: its name, the oracle's output (the whole parent of the
+         C view) and a run of the kernel on a fresh copy *)
+      let case name ~crows ~oracle ~run =
+        let cparent, cview = operand rng crows n in
+        let expected = T.copy cparent in
+        oracle (cview expected);
+        ( name,
+          expected,
+          fun () ->
+            let got = T.copy cparent in
+            run (cview got);
+            got )
+      in
+      let bools = [ false; true ] and betas = [ 0.0; 1.0; 0.5 ] in
+      let matmul =
+        List.concat_map
+          (fun trans_a ->
+            List.concat_map
+              (fun trans_b ->
+                List.map
+                  (fun beta ->
+                    let at = if trans_a then view_of rng kk m else view_of rng m kk in
+                    let bt = bt_of ~trans_b in
+                    let a i k = if trans_a then get at k i else get at i k in
+                    case
+                      (Printf.sprintf "matmul_into trans_a=%b trans_b=%b beta=%g" trans_a trans_b beta)
+                      ~crows:m
+                      ~oracle:(oracle_into ~m ~kk ~n ~beta ~a ~b:(b_of ~trans_b bt))
+                      ~run:(T.matmul_into ~trans_a ~trans_b ~beta at bt))
+                  betas)
+              bools)
+          bools
+      in
+      let arows = 1 + (m / 2) in
+      let gather_idx = Array.init m (fun _ -> Rng.int rng arows) in
+      let gather =
+        List.concat_map
+          (fun trans_b ->
+            List.map
+              (fun beta ->
+                let at = view_of rng arows kk and bt = bt_of ~trans_b in
+                case
+                  (Printf.sprintf "matmul_gather_into trans_b=%b beta=%g" trans_b beta)
+                  ~crows:m
+                  ~oracle:
+                    (oracle_into ~m ~kk ~n ~beta
+                       ~a:(fun i k -> get at gather_idx.(i) k)
+                       ~b:(b_of ~trans_b bt))
+                  ~run:(T.matmul_gather_into ~trans_b ~beta at ~idx:gather_idx bt))
+              betas)
+          bools
+      in
+      (* a third as many destinations as product rows: duplicates abound *)
+      let crows = 1 + (m / 3) in
+      let scatter_idx = Array.init m (fun _ -> Rng.int rng crows) in
+      let scatter =
+        List.map
+          (fun trans_b ->
+            let at = view_of rng m kk and bt = bt_of ~trans_b in
+            case
+              (Printf.sprintf "matmul_scatter_add_into trans_b=%b" trans_b)
+              ~crows
+              ~oracle:(oracle_scatter ~m ~kk ~n ~a:(get at) ~b:(b_of ~trans_b bt) ~idx:scatter_idx)
+              ~run:(fun c -> T.matmul_scatter_add_into ~trans_b at bt ~idx:scatter_idx c))
+          bools
+      in
+      let xrows = 1 + (kk / 2) in
+      let k_idx = Array.init kk (fun _ -> Rng.int rng xrows) in
+      let gather_t =
+        List.map
+          (fun beta ->
+            let at = view_of rng xrows m and bt = view_of rng kk n in
+            case
+              (Printf.sprintf "matmul_gather_t_into beta=%g" beta)
+              ~crows:m
+              ~oracle:(oracle_into ~m ~kk ~n ~beta ~a:(fun i k -> get at k_idx.(k) i) ~b:(get bt))
+              ~run:(T.matmul_gather_t_into ~beta at ~idx:k_idx bt))
+          betas
+      in
+      let cases = matmul @ gather @ scatter @ gather_t in
+      List.for_all
+        (fun d ->
+          with_domains d (fun () ->
+              List.for_all
+                (fun (name, expected, run) ->
+                  bits_equal expected (run ())
+                  || QCheck.Test.fail_reportf "%s (m=%d kk=%d n=%d) differs at %d domains" name m
+                       kk n d)
+                cases))
+        [ 1; 2; 4 ])
+
+(* [0, 1]·[x, 2] through every entry point, in five output columns (one
+   four-wide tile and one leftover column): a zero factor must not hide a
+   NaN or Inf in the other operand. *)
+let gemm_entry_points x =
+  let row = T.of_2d [| [| 0.; 1. |] |] and col = T.of_2d [| Array.make 5 x; Array.make 5 2. |] in
+  let into f =
+    let c = T.create [| 1; 5 |] in
+    f c;
+    T.to_flat_array c
+  in
+  [
+    ("matmul_into", into (T.matmul_into row col));
+    ( "matmul_into trans_a trans_b",
+      into
+        (T.matmul_into ~trans_a:true ~trans_b:true
+           (T.of_2d [| [| 0. |]; [| 1. |] |])
+           (T.of_2d (Array.make 5 [| x; 2. |]))) );
+    ( "matmul_gather_into",
+      into (T.matmul_gather_into (T.of_2d [| [| 5.; 5. |]; [| 0.; 1. |] |]) ~idx:[| 1 |] col) );
+    ("matmul_scatter_add_into", into (fun c -> T.matmul_scatter_add_into row col ~idx:[| 0 |] c));
+    ( "matmul_gather_t_into",
+      into (T.matmul_gather_t_into (T.of_2d [| [| 1. |]; [| 0. |] |]) ~idx:[| 1; 0 |] col) );
+  ]
+
+let test_gemm_nan_propagates () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun (name, v) ->
+          check_bool (Printf.sprintf "%s: [0,1]·[%g,2] is NaN" name x) true
+            (Array.for_all Float.is_nan v))
+        (gemm_entry_points x))
+    [ Float.nan; Float.infinity ]
+
+(* The accumulators are unboxed and nothing is allocated per row: every
+   entry point allocates the same few words at 64 rows as at 6000. *)
+let test_gemm_allocation () =
+  let words_at m =
+    let rng = Rng.create 5 in
+    let x = T.randn rng [| 64; 64 |] and xm = T.randn rng [| m; 64 |] in
+    let w = T.randn rng [| 64; 64 |] and idx = Array.init m (fun i -> i mod 64) in
+    let cm = T.create [| m; 64 |] and c64 = T.create [| 64; 64 |] in
+    List.map
+      (fun (name, f) ->
+        f ();
+        let before = Gc.minor_words () in
+        f ();
+        (name, Gc.minor_words () -. before))
+      [
+        ("matmul_into", fun () -> T.matmul_into xm w cm);
+        ("matmul_into trans_a", fun () -> T.matmul_into ~trans_a:true ~beta:1.0 xm cm c64);
+        ("matmul_into trans_b", fun () -> T.matmul_into ~trans_b:true ~beta:0.5 xm w cm);
+        ("matmul_gather_into", fun () -> T.matmul_gather_into x ~idx w cm);
+        ("matmul_scatter_add_into", fun () -> T.matmul_scatter_add_into xm w ~idx c64);
+        ("matmul_gather_t_into", fun () -> T.matmul_gather_t_into ~beta:1.0 x ~idx cm c64);
+      ]
+  in
+  with_domains 1 (fun () ->
+      List.iter2
+        (fun (name, small) (_, large) ->
+          check_bool (Printf.sprintf "%s: %.0f words at m=64, %.0f at m=6000" name small large) true
+            (small = large && large <= 256.0))
+        (words_at 64) (words_at 6000))
+
 let suite =
   [
     Alcotest.test_case "create/shape" `Quick test_create_shape;
@@ -365,9 +602,12 @@ let suite =
     Alcotest.test_case "rng zipf skew" `Quick test_rng_zipf_skew;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+    Alcotest.test_case "GEMM entry points propagate NaN/Inf" `Quick test_gemm_nan_propagates;
+    Alcotest.test_case "GEMM allocation independent of rows" `Quick test_gemm_allocation;
     QCheck_alcotest.to_alcotest prop_distributive;
     QCheck_alcotest.to_alcotest prop_transpose;
     QCheck_alcotest.to_alcotest prop_gather_scatter_inverse;
     QCheck_alcotest.to_alcotest prop_sum_linear;
     QCheck_alcotest.to_alcotest prop_concat_split;
+    QCheck_alcotest.to_alcotest prop_gemm_oracle;
   ]
