@@ -17,7 +17,7 @@
    serve them all. *)
 
 module H = Hector_experiments.Harness
-module Json = Hector_runtime.Json_lite
+module Json = Hector_obs.Json
 module Session = Hector_runtime.Session
 module Compiler = Hector_core.Compiler
 module Autotune = Hector_runtime.Autotune
@@ -69,7 +69,7 @@ let sim ?launches name v =
 
 type outcome = {
   entries : entry list;
-  meta : string;  (* JSON value stored under "_meta" (never gated) *)
+  meta : Json.t;  (* stored under "_meta" (never gated) *)
   trace : string option;  (* micro only: the BENCH_trace.json document *)
   failures : string list;  (* in-run gates that did not hold *)
 }
@@ -214,8 +214,7 @@ let micro_meta () =
        let labels = Array.init graph.Hector_graph.Hetgraph.num_nodes (fun i -> i mod 16) in
        ignore (Session.train_step s ~labels ())
      else ignore (Session.forward s));
-    ( Printf.sprintf "\"%s\": %s" (Hector_obs.json_escape name) (Session.metrics_json s),
-      Session.chrome_trace s )
+    ((name, Session.metrics_json s), Session.chrome_trace s)
   in
   let snaps =
     [
@@ -223,7 +222,7 @@ let micro_meta () =
       snapshot "table5/rgat_compact" ~training:false ~compact:true ~fusion:false "rgat";
     ]
   in
-  ("{" ^ String.concat "," (List.map fst snaps) ^ "}", snd (List.hd snaps))
+  (Json.Obj (List.map fst snaps), snd (List.hd snaps))
 
 let run_micro () =
   let open Bechamel in
@@ -376,11 +375,15 @@ let run_tune () =
       per_model
   in
   let winner (model, best, _) =
-    Printf.sprintf "\"%s\": {\"best\": \"%s\", \"estimated_ms\": %.6f, \"measured_ms\": %.6f}" model
-      (Hector_obs.json_escape (Compiler.options_id best.Autotune.options))
-      best.Autotune.estimated_ms best.Autotune.time_ms
+    ( model,
+      Json.Obj
+        [
+          ("best", Json.Str (Compiler.options_id best.Autotune.options));
+          ("estimated_ms", Json.Num best.Autotune.estimated_ms);
+          ("measured_ms", Json.Num best.Autotune.time_ms);
+        ] )
   in
-  outcome ~failures entries ("{" ^ String.concat "," (List.map winner per_model) ^ "}")
+  outcome ~failures entries (Json.Obj (List.map winner per_model))
 
 (* --- distributed benchmark (--dist) ----------------------------------
 
@@ -662,29 +665,28 @@ let modes : (string * string * string * (unit -> outcome)) list =
 
 (* --- writer ------------------------------------------------------------ *)
 
-let opt fmt = function Some v -> fmt v | None -> "null"
-
 let entry_json e =
-  match (e.allocs, e.copied_bytes) with
-  | Some allocs, Some copied ->
-      Printf.sprintf
-        "{\"ns\": %s, \"sim_ms\": %s, \"allocs\": %d, \"copied_bytes\": %d, \"launches\": %s}"
-        (opt (Printf.sprintf "%.1f") e.ns)
-        (opt (Printf.sprintf "%.6f") e.sim_ms)
-        allocs copied
-        (opt string_of_int e.launches)
-  | _ ->
-      Printf.sprintf "{\"sim_ms\": %s%s}"
-        (opt (Printf.sprintf "%.6f") e.sim_ms)
-        (match e.launches with Some l -> Printf.sprintf ", \"launches\": %d" l | None -> "")
+  let opt f = function Some v -> f v | None -> Json.Null in
+  let num = opt (fun v -> Json.Num v) in
+  let sim_ms = ("sim_ms", num e.sim_ms) and launches = ("launches", opt Json.int e.launches) in
+  Json.Obj
+    (match (e.allocs, e.copied_bytes) with
+    | Some allocs, Some copied ->
+        [
+          ("ns", num e.ns);
+          sim_ms;
+          ("allocs", Json.int allocs);
+          ("copied_bytes", Json.int copied);
+          launches;
+        ]
+    | _ -> if e.launches = None then [ sim_ms ] else [ sim_ms; launches ])
 
+(* one top-level member per line, so committed baselines diff entry by
+   entry *)
 let write_outcome file o =
-  let rows =
-    List.map (fun e -> Printf.sprintf "  \"%s\": %s" (Hector_obs.json_escape e.name) (entry_json e))
-      o.entries
-  in
-  Json.write_atomic file
-    ("{\n" ^ String.concat ",\n" (rows @ [ "  \"_meta\": " ^ o.meta ]) ^ "\n}\n");
+  let member (k, v) = "  " ^ Json.to_string (Json.Str k) ^ ": " ^ Json.to_string v in
+  let members = List.map (fun e -> (e.name, entry_json e)) o.entries @ [ ("_meta", o.meta) ] in
+  Json.write_atomic file ("{\n" ^ String.concat ",\n" (List.map member members) ^ "\n}\n");
   Option.iter (Json.write_atomic "BENCH_trace.json") o.trace;
   Printf.printf "\nWrote %s (%d entries + _meta)%s\n" file (List.length o.entries)
     (if o.trace = None then "" else " and BENCH_trace.json")

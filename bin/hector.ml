@@ -26,6 +26,7 @@ module Workload = Hector_serve.Workload
 module Fault = Hector_ckpt.Fault
 module Checkpoint = Hector_ckpt.Checkpoint
 module Trainer = Hector_ckpt.Trainer
+module Json = Hector_obs.Json
 
 let model_arg =
   let doc = "Model: rgcn, rgat or hgt." in
@@ -251,7 +252,7 @@ let cmd_serve =
         ~num_nodes:graph.G.num_nodes ()
     in
     ignore (Serve.serve server trace);
-    if json then print_endline (Serve.metrics_json server)
+    if json then print_endline (Json.to_string (Serve.metrics_json server))
     else begin
       let s = Serve.load_stats server in
       Printf.printf "served %d / %d requests (%d shed) in %d batches (mean size %.2f)\n"
@@ -365,7 +366,7 @@ let cmd_stream =
         | Error msg -> Printf.eprintf "hector stream: delta %d rejected: %s\n" k msg
       end
     done;
-    if json then print_endline (Ss.metrics_json server)
+    if json then print_endline (Json.to_string (Ss.metrics_json server))
     else begin
       let c = Mg.counters mg in
       let replica = Ss.replica server in
@@ -587,14 +588,18 @@ let cmd_checkpoint =
         let train = if resume then Trainer.resume else Trainer.fit in
         let r = train ~dir ?keep ~every ~lr ~model ~graph ~labels ~steps compiled in
         if json then begin
-          let losses =
-            String.concat ","
-              (Array.to_list (Array.map (Printf.sprintf "%.6f") r.Trainer.losses))
-          in
-          Printf.printf
-            "{\"model\":\"%s\",\"dataset\":\"%s\",\"start_step\":%d,\"steps\":%d,\"losses\":[%s],\"checkpoints\":%d}\n"
-            model dataset r.Trainer.start_step steps losses
-            (List.length r.Trainer.checkpoints)
+          let losses = Array.to_list (Array.map (fun l -> Json.Num l) r.Trainer.losses) in
+          print_endline
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("model", Json.Str model);
+                    ("dataset", Json.Str dataset);
+                    ("start_step", Json.int r.Trainer.start_step);
+                    ("steps", Json.int steps);
+                    ("losses", Json.Arr losses);
+                    ("checkpoints", Json.int (List.length r.Trainer.checkpoints));
+                  ]))
         end
         else begin
           if r.Trainer.start_step > 0 then

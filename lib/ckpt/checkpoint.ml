@@ -1,5 +1,5 @@
 module Tensor = Hector_tensor.Tensor
-module Json = Hector_runtime.Json_lite
+module Json = Hector_obs.Json
 module Knobs = Hector_runtime.Knobs
 
 exception Corrupt of string
@@ -77,38 +77,36 @@ let payload_of_tensors tensors =
   Buffer.contents buf
 
 let header_json t ~payload =
-  let buf = Buffer.create 1024 in
-  let off = ref 0 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"format\":\"%s\",\"version\":%d,\"model\":\"%s\",\"step\":%d,\"rng\":%s,\"epoch\":%d,\"graph_version\":%d"
-       format_name format_version (Hector_obs.json_escape t.model) t.step
-       (match t.rng with None -> "null" | Some s -> Printf.sprintf "\"%Ld\"" s)
-       t.epoch t.graph_version);
-  Buffer.add_string buf ",\"meta\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (Hector_obs.json_escape k) (Hector_obs.json_escape v)))
-    t.meta;
-  Buffer.add_string buf "},\"tensors\":[";
-  List.iteri
-    (fun i (name, w) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let shape = Tensor.shape w in
-      let count = Tensor.numel w in
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"shape\":[%s],\"offset\":%d,\"count\":%d}"
-           (Hector_obs.json_escape name)
-           (String.concat "," (List.map string_of_int (Array.to_list shape)))
-           !off count);
-      off := !off + count)
-    t.tensors;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"payload_bytes\":%d,\"crc32\":%d}" (String.length payload)
-       (crc32 payload));
-  Buffer.contents buf
+  let index =
+    List.fold_left_map
+      (fun off (name, w) ->
+        let count = Tensor.numel w in
+        ( off + count,
+          Json.Obj
+            [
+              ("name", Json.Str name);
+              ("shape", Json.Arr (Array.to_list (Array.map Json.int (Tensor.shape w))));
+              ("offset", Json.int off);
+              ("count", Json.int count);
+            ] ))
+      0 t.tensors
+    |> snd
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("format", Json.Str format_name);
+         ("version", Json.int format_version);
+         ("model", Json.Str t.model);
+         ("step", Json.int t.step);
+         ("rng", match t.rng with None -> Json.Null | Some s -> Json.Str (Int64.to_string s));
+         ("epoch", Json.int t.epoch);
+         ("graph_version", Json.int t.graph_version);
+         ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.meta));
+         ("tensors", Json.Arr index);
+         ("payload_bytes", Json.int (String.length payload));
+         ("crc32", Json.int (crc32 payload));
+       ])
 
 let encode t =
   let payload = payload_of_tensors t.tensors in

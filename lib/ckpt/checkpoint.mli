@@ -11,7 +11,7 @@
     of as silently wrong weights.
 
     Writes are atomic (temp + rename via
-    {!Hector_runtime.Json_lite.write_atomic}): a crash mid-save never
+    {!Hector_obs.Json.write_atomic}): a crash mid-save never
     leaves a half-written file under a checkpoint name.  Files are named
     [ckpt-<step>.hck]; {!save} applies a keep-newest retention policy and
     {!latest}/{!list} recover the resume point by parsed step. *)

@@ -18,6 +18,7 @@ module Exec = Hector_runtime.Exec
 module Env = Hector_runtime.Env
 module Train = Hector_runtime.Train
 module Knobs = Hector_runtime.Knobs
+module Json = Hector_obs.Json
 
 module Config = struct
   type t = {
@@ -754,19 +755,16 @@ let train_step t ?(lr = 0.01) ~labels () =
 
 let metrics_json t =
   let module M = Hector_obs.Metrics in
-  let reps =
-    t.replicas
-    |> Array.mapi (fun i r ->
-           let st = Engine.stats r.engine in
-           M.obj
-             [
-               M.int "replica" i;
-               M.float "elapsed_ms" (Engine.elapsed_ms r.engine);
-               M.float "comm_ms" (Stats.of_category st Kernel.Comm).Stats.time_ms;
-               M.int "launches" (Stats.total st).Stats.launches;
-               M.int "alloc_count" (Memory.alloc_count (Engine.memory r.engine));
-             ])
-    |> Array.to_list |> String.concat ","
+  let replica i r =
+    let st = Engine.stats r.engine in
+    Json.Obj
+      [
+        M.int "replica" i;
+        M.float "elapsed_ms" (Engine.elapsed_ms r.engine);
+        M.float "comm_ms" (Stats.of_category st Kernel.Comm).Stats.time_ms;
+        M.int "launches" (Stats.total st).Stats.launches;
+        M.int "alloc_count" (Memory.alloc_count (Engine.memory r.engine));
+      ]
   in
   M.envelope ~subsystem:"dist" ~elapsed_ms:(elapsed_ms t) ~launches:(launches t)
     [
@@ -776,5 +774,5 @@ let metrics_json t =
       M.float "balance" (Partition.balance t.pt);
       M.float "comm_ms" (comm_ms t);
       M.float "busy_ms" (busy_ms t);
-      M.raw "replicas" ("[" ^ reps ^ "]");
+      ("replicas", Json.Arr (List.mapi replica (Array.to_list t.replicas)));
     ]

@@ -1,4 +1,5 @@
 module Obs = Hector_obs
+module Json = Hector_obs.Json
 
 type event = {
   name : string;
@@ -56,93 +57,61 @@ let reset_clock ?(keep_events = false) t =
 
 let events t = List.rev t.events
 
-let add_kernel_event buf e =
+let kernel_event e =
   let args =
     match e.prov with
-    | None -> ""
+    | None -> []
     | Some p ->
-        let fused =
-          match p.Kernel.fused with
-          | [] -> ""
-          | ops ->
-              Printf.sprintf ",\"fused\":[%s]"
-                (String.concat ","
-                   (List.map (fun o -> Printf.sprintf "\"%s\"" (Obs.json_escape o)) ops))
-        in
-        Printf.sprintf ",\"args\":{\"op\":\"%s\",\"step\":%d,\"origin\":\"%s\"%s}"
-          (Obs.json_escape p.Kernel.op) p.Kernel.step (Obs.json_escape p.Kernel.origin) fused
+        [
+          ( "args",
+            Json.Obj
+              ([
+                 ("op", Json.Str p.Kernel.op);
+                 ("step", Json.int p.Kernel.step);
+                 ("origin", Json.Str p.Kernel.origin);
+               ]
+              @
+              match p.Kernel.fused with
+              | [] -> []
+              | ops -> [ ("fused", Json.Arr (List.map (fun o -> Json.Str o) ops)) ]) );
+        ]
   in
   (* compute launches render on tid 1; async transfers on tid 2+channel, so
      Perfetto shows overlapped Comm spans on their own rows *)
   let tid = match e.chan with None -> 1 | Some c -> 2 + c in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-       (Obs.json_escape e.name)
-       (Obs.json_escape (Kernel.category_name e.category))
-       (e.start_ms *. 1e3) (e.duration_ms *. 1e3) tid args)
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str (Kernel.category_name e.category));
+       ("ph", Json.Str "X");
+       ("ts", Json.Num (e.start_ms *. 1e3));
+       ("dur", Json.Num (e.duration_ms *. 1e3));
+       ("pid", Json.int 1);
+       ("tid", Json.int tid);
+     ]
+    @ args)
 
 let to_chrome_trace ?obs t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let n =
-    List.fold_left
-      (fun i e ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_kernel_event buf e;
-        i + 1)
-      0 (events t)
-  in
   (* Wall-clock observability spans ride along on a second pid so Perfetto
      shows simulated kernels and compiler/runtime phases as separate tracks. *)
-  (match obs with
-  | Some o when Obs.enabled o ->
-      ignore
-        (List.fold_left
-           (fun i ev ->
-             if i > 0 then Buffer.add_char buf ',';
-             Buffer.add_string buf ev;
-             i + 1)
-           n
-           (Obs.trace_events o ~pid:2))
-  | _ -> ());
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let spans = match obs with Some o -> Obs.trace_events o ~pid:2 | None -> [] in
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.Arr (List.map kernel_event (events t) @ spans)) ])
 
 let entries_json entries =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, (e : Stats.entry)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"time_ms\":%.6f,\"launches\":%d}" (Obs.json_escape name)
-           e.Stats.time_ms e.Stats.launches))
-    entries;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    (List.map
+       (fun (name, (e : Stats.entry)) ->
+         ( name,
+           Json.Obj
+             [ ("time_ms", Json.Num e.Stats.time_ms); ("launches", Json.int e.Stats.launches) ] ))
+       entries)
 
 let by_category_json t =
   entries_json
     (List.map (fun (c, e) -> (Kernel.category_name c, e)) (Stats.by_category t.stats))
 
 let by_op_json t = entries_json (Stats.by_op t.stats)
-
-let metrics_json ?obs t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"elapsed_ms\":%.6f" t.clock_ms);
-  Buffer.add_string buf (Printf.sprintf ",\"attributed_ms\":%.6f" (Stats.attributed_ms t.stats));
-  Buffer.add_string buf ",\"by_category\":";
-  Buffer.add_string buf (by_category_json t);
-  Buffer.add_string buf ",\"by_op\":";
-  Buffer.add_string buf (by_op_json t);
-  (match obs with
-  | Some o when Obs.enabled o ->
-      Buffer.add_string buf (Printf.sprintf ",\"counters\":%s" (Obs.counters_json o));
-      Buffer.add_string buf (Printf.sprintf ",\"spans\":%s" (Obs.spans_json o))
-  | _ -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
 
 let occupancy (d : Device.t) ~blocks ~threads_per_block =
   let resident = float_of_int blocks *. float_of_int threads_per_block in

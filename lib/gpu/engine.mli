@@ -115,17 +115,12 @@ val to_chrome_trace : ?obs:Hector_obs.t -> t -> string
     ["args"]; when an enabled [obs] is given, its wall-clock spans are
     merged in under pid 2. *)
 
-val metrics_json : ?obs:Hector_obs.t -> t -> string
-(** A single-line JSON metrics snapshot: [elapsed_ms], [attributed_ms],
-    per-category and per-op time/launch tables, plus — when an enabled
-    [obs] is given — its counters and nested pass/run spans. *)
+val by_category_json : t -> Hector_obs.Json.t
+(** The per-category time/launch table as a JSON object — for embedding
+    in subsystem-level metrics documents. *)
 
-val by_category_json : t -> string
-(** The per-category time/launch table as a JSON object fragment — for
-    embedding in subsystem-level metrics documents. *)
-
-val by_op_json : t -> string
-(** The per-op time/launch table as a JSON object fragment. *)
+val by_op_json : t -> Hector_obs.Json.t
+(** The per-op time/launch table as a JSON object. *)
 
 val memory : t -> Memory.t
 (** The device allocator of this engine. *)

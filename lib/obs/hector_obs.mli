@@ -66,52 +66,50 @@ val reset : t -> unit
 
 (** {2 Export} *)
 
+module Json = Json
+(** The repository's one JSON value type, parser and printer. *)
+
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON document (quotes, backslashes,
-    control characters). *)
+(** {!Json.escape}: escape a string for embedding in a JSON document
+    (quotes, backslashes, control characters). *)
 
 val spans_json : t -> string
 (** The span tree as a JSON array (single line):
     [[{"name":..,"kind":..,"start_ms":..,"duration_ms":..,"children":[..]},..]]. *)
 
-val counters_json : t -> string
-(** The counters as a single-line JSON object. *)
-
-val trace_events : t -> pid:int -> string list
+val trace_events : t -> pid:int -> Json.t list
 (** The span tree flattened to Chrome-tracing complete events (["ph":"X"]),
-    one JSON object fragment per span, under process id [pid].  Timestamps
-    are wall-clock microseconds relative to the handle's creation, so they
+    one event object per span, under process id [pid].  Timestamps are
+    wall-clock microseconds relative to the handle's creation, so they
     live on a separate timeline from simulated kernel events. *)
 
 (** {2 Shared metrics schema}
 
-    Every subsystem-level [metrics_json] (session, serving, distributed)
-    builds its document through this module, so the cross-cutting keys are
-    uniform: ["subsystem"], ["elapsed_ms"], ["launches"], and — where the
-    subsystem moves bytes — a ["comm"] object with ["posted_ms"],
+    Every subsystem-level [metrics_json] (session, serving, distributed,
+    streaming) builds its document through this module, so the
+    cross-cutting keys are uniform: ["subsystem"], ["elapsed_ms"],
+    ["launches"], and a ["comm"] object with ["posted_ms"],
     ["exposed_ms"] and ["overlap_ratio"] ([1 − exposed/posted], 0 when
     nothing was posted).  Subsystem-specific keys ride along as extra
-    fields. *)
+    fields, nested objects and arrays as plain {!Json.t} values. *)
 module Metrics : sig
-  type field
+  type field = string * Json.t
   (** One key/value pair of a metrics object. *)
 
   val int : string -> int -> field
   val float : string -> float -> field
   val str : string -> string -> field
 
-  val raw : string -> string -> field
-  (** A pre-serialized JSON value (object, array, number). *)
-
-  val obj : field list -> string
-  (** Serialize fields as a single-line JSON object (keys escaped). *)
-
   val comm : posted_ms:float -> exposed_ms:float -> field
   (** The uniform ["comm"] block: total posted transfer time, the exposed
       (non-overlapped) part actually charged to the clock, and the overlap
       ratio between them. *)
 
-  val envelope : subsystem:string -> elapsed_ms:float -> launches:int -> field list -> string
+  val obs : t -> field list
+  (** The handle's ["counters"] object and nested ["spans"] tree; empty on
+      a disabled handle. *)
+
+  val envelope : subsystem:string -> elapsed_ms:float -> launches:int -> field list -> Json.t
   (** The shared envelope: [{"subsystem":..,"elapsed_ms":..,"launches":..,
       <fields>}] — the schema the metrics drift test pins across
       subsystems. *)

@@ -1,12 +1,13 @@
-(** Minimal JSON values for the repository's flat persistence formats.
+(** The repository's JSON values: one type, one parser, one printer.
 
-    The repository carries no external JSON dependency; the plan-tuning
-    database ({!Tuning_db}) and the checkpoint header
-    ([Hector_ckpt.Checkpoint]) both serialize small fixed schemas, so a
-    ~100-line value parser plus a few field accessors covers every need.
-    The writer side stays [Printf]-based at each call site (the schemas are
-    flat, and strings go through {!Hector_obs.json_escape}); this module
-    supplies the atomic file-write helper both formats share. *)
+    The repository carries no external JSON dependency.  Every document it
+    writes — subsystem metrics envelopes ({!Hector_obs.Metrics}), chrome
+    traces, the plan-tuning database, checkpoint headers and the BENCH
+    files — is built as a {!t} and printed by {!to_string}; every document
+    it reads goes through {!parse} and the field accessors below.  The
+    module also supplies the atomic file-write helper the on-disk formats
+    share.  [Hector_runtime.Json_lite] is this module under its older
+    name. *)
 
 type t =
   | Null
@@ -23,6 +24,22 @@ val parse : string -> t
 (** Parse a complete JSON document (trailing garbage rejected).  String
     escapes follow RFC 8259: [\uXXXX] (including surrogate pairs) decodes
     to UTF-8.  Raises {!Malformed}. *)
+
+val to_string : t -> string
+(** Compact single-line JSON (no whitespace).  Strings and keys go through
+    {!escape}; numbers take the shortest of [%.15g], [%.16g] and [%.17g]
+    that reads back as the same double, so [parse (to_string v) = v] for
+    finite numbers.  JSON has no NaN or infinity: NaN, +Inf and -Inf are
+    written as the strings ["NaN"], ["Infinity"] and ["-Infinity"], so the
+    document stays valid, and a reader expecting a number ({!num_field})
+    raises {!Malformed} on them rather than seeing a finite stand-in. *)
+
+val escape : string -> string
+(** Escape a string for embedding between JSON quotes (quotes,
+    backslashes, control characters). *)
+
+val int : int -> t
+(** [Num (float_of_int n)] — exact for [|n| <= 2^53]. *)
 
 val member : t -> string -> t option
 (** Object field lookup ([None] on missing field or non-object). *)

@@ -176,20 +176,16 @@ let metrics_json t =
   let module Stats = Hector_gpu.Stats in
   let e = engine t in
   let st = Engine.stats e in
-  let o = obs t in
   M.envelope ~subsystem:"session" ~elapsed_ms:(Engine.elapsed_ms e)
     ~launches:(Stats.total st).Stats.launches
     ([
        M.comm ~posted_ms:(Engine.posted_comm_ms e)
          ~exposed_ms:(Stats.of_category st Hector_gpu.Kernel.Comm).Stats.time_ms;
        M.float "attributed_ms" (Stats.attributed_ms st);
-       M.raw "by_category" (Engine.by_category_json e);
-       M.raw "by_op" (Engine.by_op_json e);
+       ("by_category", Engine.by_category_json e);
+       ("by_op", Engine.by_op_json e);
      ]
-    @
-    if Hector_obs.enabled o then
-      [ M.raw "counters" (Hector_obs.counters_json o); M.raw "spans" (Hector_obs.spans_json o) ]
-    else [])
+    @ M.obs (obs t))
 let chrome_trace t = Engine.to_chrome_trace ~obs:(obs t) (engine t)
 
 let output_dim t =

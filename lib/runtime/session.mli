@@ -106,8 +106,8 @@ val obs : t -> Hector_obs.t
 (** The observability handle the session's engine reports to (the
     configured one, or {!Hector_obs.disabled}). *)
 
-val metrics_json : t -> string
-(** Single-line JSON metrics snapshot for this session in the shared
+val metrics_json : t -> Hector_obs.Json.t
+(** JSON metrics snapshot for this session in the shared
     {!Hector_obs.Metrics} envelope (["subsystem"], ["elapsed_ms"],
     ["launches"], ["comm"]): simulated attribution tables ([by_category],
     [by_op]) and — when observability is enabled — wall-clock spans and

@@ -116,72 +116,52 @@ let lookup t ~model ~device ~training signature =
           in
           Some (Nearest best))
 
-(* --- options <-> fields ------------------------------------------------ *)
-
-let options_fields (o : Compiler.options) =
-  [
-    ("compact", `Bool (o.Compiler.layout.Layout.materialization = Layout.Compact));
-    ("csr", `Bool (o.Compiler.layout.Layout.adjacency = Layout.Csr));
-    ("presorted", `Bool o.Compiler.layout.Layout.nodes_presorted);
-    ("fusion", `Bool o.Compiler.linear_fusion);
-    ("training", `Bool o.Compiler.training);
-    ("tile", `Int o.Compiler.gemm_schedule.Gs.tile_width);
-    ("coarsen", `Int o.Compiler.gemm_schedule.Gs.coarsen);
-    ("launch_bounds", `Bool o.Compiler.gemm_schedule.Gs.launch_bounds);
-    ("warp_accumulate", `Bool o.Compiler.traversal_schedule.Ts.warp_accumulate);
-    ("node_gather", `Bool o.Compiler.prefer_node_gather);
-    ( "fuse_ops",
-      match o.Compiler.fuse_ops with None -> `Null | Some b -> `Bool b );
-  ]
-
 (* --- JSON -------------------------------------------------------------- *)
 
-(* The DB schema is fixed and flat; reading goes through the shared
-   {!Json_lite} value parser and its field accessors, writing stays
-   Printf-based below. *)
+open Hector_obs.Json
 
-exception Malformed = Json_lite.Malformed
+exception Malformed = Hector_obs.Json.Malformed
 
-let field_to_json = function
-  | `Bool b -> if b then "true" else "false"
-  | `Int n -> string_of_int n
-  | `Null -> "null"
+let options_json (o : Compiler.options) =
+  Obj
+    [
+      ("compact", Bool (o.Compiler.layout.Layout.materialization = Layout.Compact));
+      ("csr", Bool (o.Compiler.layout.Layout.adjacency = Layout.Csr));
+      ("presorted", Bool o.Compiler.layout.Layout.nodes_presorted);
+      ("fusion", Bool o.Compiler.linear_fusion);
+      ("training", Bool o.Compiler.training);
+      ("tile", int o.Compiler.gemm_schedule.Gs.tile_width);
+      ("coarsen", int o.Compiler.gemm_schedule.Gs.coarsen);
+      ("launch_bounds", Bool o.Compiler.gemm_schedule.Gs.launch_bounds);
+      ("warp_accumulate", Bool o.Compiler.traversal_schedule.Ts.warp_accumulate);
+      ("node_gather", Bool o.Compiler.prefer_node_gather);
+      ("fuse_ops", match o.Compiler.fuse_ops with None -> Null | Some b -> Bool b);
+    ]
 
-let entry_to_json e =
-  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
-  let opts =
-    options_fields e.options
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k (field_to_json v))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"model\":\"%s\",\"model_name\":\"%s\",\"device\":\"%s\",\"training\":%b,\
-     \"nodes\":[%s],\"edges\":[%s],\"mean_degree\":%.17g,\"options\":{%s},\
-     \"options_id\":\"%s\",\"estimated_ms\":%.17g,\"measured_ms\":%.17g}"
-    (Hector_obs.json_escape e.model) (Hector_obs.json_escape e.model_name)
-    (Hector_obs.json_escape e.device) e.training
-    (ints e.signature.nodes_per_ntype)
-    (ints e.signature.edges_per_etype)
-    e.signature.mean_degree opts
-    (Hector_obs.json_escape (Compiler.options_id e.options))
-    e.estimated_ms e.measured_ms
+let entry_json e =
+  let ints a = Arr (Array.to_list (Array.map int a)) in
+  Obj
+    [
+      ("model", Str e.model);
+      ("model_name", Str e.model_name);
+      ("device", Str e.device);
+      ("training", Bool e.training);
+      ("nodes", ints e.signature.nodes_per_ntype);
+      ("edges", ints e.signature.edges_per_etype);
+      ("mean_degree", Num e.signature.mean_degree);
+      ("options", options_json e.options);
+      ("options_id", Str (Compiler.options_id e.options));
+      ("estimated_ms", Num e.estimated_ms);
+      ("measured_ms", Num e.measured_ms);
+    ]
 
 let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\":1,\"entries\":[\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ entry_to_json e))
-    (List.rev t.entries);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  to_string (Obj [ ("version", int 1); ("entries", Arr (List.rev_map entry_json t.entries)) ])
+  ^ "\n"
 
-let save t path = Json_lite.write_atomic path (to_json t)
+let save t path = write_atomic path (to_json t)
 
 (* --- decoding ---------------------------------------------------------- *)
-
-open Json_lite
 
 let options_of_json j =
   let tile = int_of_float (num_field j "tile" 16.0) in
@@ -236,7 +216,7 @@ let of_json s =
 let load path =
   if not (Sys.file_exists path) then create ()
   else
-    let s = Json_lite.read_file path in
+    let s = read_file path in
     (* a corrupt or foreign file (e.g. the torso a crashed in-place writer
        would have left — impossible since saves go through write_atomic,
        but clients may hand us anything) is treated as empty: tuning falls

@@ -16,9 +16,9 @@
     Graph signatures are per-type node and edge counts (sorted descending,
     so they are invariant under node-id and type relabeling) plus the mean
     degree; bucketization rounds counts to half-log2 steps so nearby graph
-    sizes share a key.  The file format is a versioned JSON object parsed
-    by a built-in reader (the repository carries no JSON dependency);
-    corrupt or missing files load as an empty database. *)
+    sizes share a key.  The file format is a versioned single-line JSON
+    object written and read through {!Hector_obs.Json}; corrupt or
+    missing files load as an empty database. *)
 
 type signature = {
   nodes_per_ntype : int array;  (** per node type, sorted descending *)
@@ -54,7 +54,7 @@ val load : string -> t
     empty database (tuning then falls back to searching). *)
 
 val save : t -> string -> unit
-(** Write the database as JSON through {!Json_lite.write_atomic}: the
+(** Write the database as JSON through {!Hector_obs.Json.write_atomic}: the
     payload lands in a pid-suffixed temporary and reaches the target path
     only by rename, so a crash mid-save can never leave a truncated
     database (and {!load} additionally treats any corrupt file as

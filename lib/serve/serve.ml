@@ -17,6 +17,7 @@ module Knobs = Hector_runtime.Knobs
 module Tuning_db = Hector_runtime.Tuning_db
 module Graph_ctx = Hector_runtime.Graph_ctx
 module Fault = Hector_ckpt.Fault
+module Json = Hector_obs.Json
 
 type config = {
   model : string;
@@ -592,11 +593,6 @@ let load_stats t =
 let metrics_json t =
   let module M = Hector_obs.Metrics in
   let s = load_stats t in
-  let hist =
-    s.batch_histogram
-    |> List.map (fun (size, count) -> Printf.sprintf "\"%d\":%d" size count)
-    |> String.concat ","
-  in
   let st = Engine.stats t.engine in
   M.envelope ~subsystem:"serve" ~elapsed_ms:t.sim_ms ~launches:(launches t)
     [
@@ -611,19 +607,21 @@ let metrics_json t =
       M.int "fault_shed" t.fault_shed;
       M.float "mean_batch" s.mean_batch;
       M.float "throughput_rps" s.throughput_rps;
-      M.raw "latency_ms"
-        (M.obj
-           [
-             M.float "p50" s.p50_ms;
-             M.float "p95" s.p95_ms;
-             M.float "p99" s.p99_ms;
-             M.float "mean" s.mean_latency_ms;
-           ]);
-      M.raw "queue_ms" (M.obj [ M.float "mean" s.mean_queue_ms ]);
-      M.raw "batch_hist" ("{" ^ hist ^ "}");
-      M.raw "plan_cache"
-        (M.obj
-           [ M.int "hits" (Plan_cache.hits t.cache); M.int "misses" (Plan_cache.misses t.cache) ]);
+      ( "latency_ms",
+        Json.Obj
+          [
+            M.float "p50" s.p50_ms;
+            M.float "p95" s.p95_ms;
+            M.float "p99" s.p99_ms;
+            M.float "mean" s.mean_latency_ms;
+          ] );
+      ("queue_ms", Json.Obj [ M.float "mean" s.mean_queue_ms ]);
+      ( "batch_hist",
+        Json.Obj (List.map (fun (size, count) -> M.int (string_of_int size) count) s.batch_histogram)
+      );
+      ( "plan_cache",
+        Json.Obj
+          [ M.int "hits" (Plan_cache.hits t.cache); M.int "misses" (Plan_cache.misses t.cache) ] );
       M.float "launches_per_request" s.launches_per_request;
       M.int "alloc_count" (Memory.alloc_count (Engine.memory t.engine));
       M.float "sim_elapsed_ms" t.sim_ms;

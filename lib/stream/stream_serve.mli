@@ -122,8 +122,8 @@ val checkpoint : t -> Hector_ckpt.Checkpoint.t
     a restarted server needs to know which generation its weights belong
     to.  Persist it with {!Hector_ckpt.Checkpoint.save}. *)
 
-val metrics_json : t -> string
-(** Single-line JSON in the shared {!Hector_obs.Metrics} envelope
+val metrics_json : t -> Hector_obs.Json.t
+(** JSON in the shared {!Hector_obs.Metrics} envelope
     ([subsystem = "stream"]): delta/op/epoch/compaction/CSR counters,
     recompiles and re-warms, update time, served/shed/rejected and the
     fault counters aggregated across every replica the subsystem has

@@ -162,7 +162,7 @@ let test_db_roundtrip () =
       check_bool "saved file has no raw control byte" true
         (String.for_all
            (fun c -> c = '\n' || Char.code c >= 0x20)
-           (Hector_runtime.Json_lite.read_file path));
+           (Hector_obs.Json.read_file path));
       let loaded = Tuning_db.load path in
       check_int "round-trip size" (Tuning_db.size db) (Tuning_db.size loaded);
       List.iter2

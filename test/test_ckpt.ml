@@ -672,6 +672,63 @@ let test_tuning_db_partial_write () =
       check_int "overwrite lands the new generation" 2
         (Tuning_db.size (Tuning_db.load path)))
 
+(* --- on-disk compatibility ------------------------------------------------
+
+   fixtures/ckpt-v1.hck and fixtures/tuning-v1.json were written by the
+   Printf-based serializers that preceded the shared JSON printer.  Files
+   already on disk must keep loading bit for bit, and re-saving what was
+   loaded must give the same parsed document. *)
+
+module Json = Hector_obs.Json
+
+let header_of data = Json.parse (String.sub data 0 (String.index data '\n'))
+
+let test_checkpoint_fixture () =
+  let file = Json.read_file "fixtures/ckpt-v1.hck" in
+  let ck = Checkpoint.decode file in
+  Alcotest.(check string) "model" "rgcn \"fixture\"" (Checkpoint.model ck);
+  check_int "step" 7 (Checkpoint.step ck);
+  check_bool "rng cursor" true (Checkpoint.rng ck = Some 0x1234_5678_9abcL);
+  check_int "epoch" 2 (Checkpoint.epoch ck);
+  check_int "graph version" 40 (Checkpoint.graph_version ck);
+  check_bool "meta" true (Checkpoint.meta ck = [ ("lr", "0.05"); ("note", "line\nbreak") ]);
+  check_bool "tensors bitwise equal" true
+    (bitwise_equal_weights
+       [
+         ("layer0.w", T.of_array [| 2; 3 |] [| 0.1; -2.5; 1e-300; -0.0; Float.pi; 1.0 /. 3.0 |]);
+         ("layer0.b", T.of_array [| 1; 2 |] [| 123456789.125; -1e300 |]);
+       ]
+       (Checkpoint.tensors ck));
+  let again = Checkpoint.encode ck in
+  check_bool "re-encoded header parses equal" true (header_of again = header_of file);
+  check_bool "re-encoded payload identical" true
+    (String.sub again (String.index again '\n') (String.length again - String.index again '\n')
+    = String.sub file (String.index file '\n') (String.length file - String.index file '\n'))
+
+let test_tuning_db_fixture () =
+  let path = "fixtures/tuning-v1.json" in
+  let db = Tuning_db.load path in
+  (match Tuning_db.entries db with
+  | [ e ] ->
+      Alcotest.(check string) "model" "fp-\"fixture\"" e.Tuning_db.model;
+      Alcotest.(check string) "model name" "rgat" e.Tuning_db.model_name;
+      Alcotest.(check string) "device" "RTX 3090" e.Tuning_db.device;
+      check_bool "training" true e.Tuning_db.training;
+      check_bool "signature" true
+        (e.Tuning_db.signature
+        = {
+            Tuning_db.nodes_per_ntype = [| 200; 100 |];
+            edges_per_etype = [| 700; 300; 12 |];
+            mean_degree = 1012.0 /. 300.0;
+          });
+      Alcotest.(check string) "options" "C+F:coo:t32c2+lb:warp:train:nofuse"
+        (Compiler.options_id e.Tuning_db.options);
+      check_bool "estimated_ms bitwise" true (e.Tuning_db.estimated_ms = 0.1 +. 0.2);
+      check_bool "measured_ms bitwise" true (e.Tuning_db.measured_ms = 2.0 /. 7.0)
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 entry, found %d" (List.length l)));
+  check_bool "re-saved db parses equal" true
+    (Json.parse (Tuning_db.to_json db) = Json.parse (Json.read_file path))
+
 let suite =
   [
     Alcotest.test_case "checkpoint round-trips bitwise" `Quick test_roundtrip_bitwise;
@@ -694,6 +751,8 @@ let suite =
     Alcotest.test_case "HECTOR_CKPT_* knobs drive save/retention" `Quick test_ckpt_knobs;
     Alcotest.test_case "tuning db survives partial writes" `Quick
       test_tuning_db_partial_write;
+    Alcotest.test_case "checkpoint fixture loads and re-saves" `Quick test_checkpoint_fixture;
+    Alcotest.test_case "tuning db fixture loads and re-saves" `Quick test_tuning_db_fixture;
     QCheck_alcotest.to_alcotest prop_tensor_roundtrip;
     QCheck_alcotest.to_alcotest prop_resume_roundtrip;
     QCheck_alcotest.to_alcotest prop_crash_recovery;

@@ -419,7 +419,7 @@ let test_comm_attributed () =
   check_bool "cluster comm time positive" true (Replica.comm_ms cluster > 0.0);
   check_bool "comm below total busy time" true (Replica.comm_ms cluster < Replica.busy_ms cluster);
   let json = Replica.metrics_json cluster in
-  check_bool "metrics json mentions comm" true (contains json "comm_ms")
+  check_bool "metrics json carries comm_ms" true (Hector_obs.Json.member json "comm_ms" <> None)
 
 let test_single_partition_has_no_comm () =
   let graph = Lazy.force parent in
@@ -534,12 +534,21 @@ let test_overlap_reduces_comm_ratio () =
 (* --- shared metrics envelope across subsystems -------------------------- *)
 
 let test_metrics_schema_uniform () =
-  let envelope_keys = [ "\"subsystem\""; "\"elapsed_ms\""; "\"launches\""; "\"comm\""; "\"overlap_ratio\"" ] in
-  let assert_envelope name json =
-    List.iter
-      (fun key ->
-        check_bool (Printf.sprintf "%s metrics has %s" name key) true (contains json key))
-      envelope_keys
+  let module Json = Hector_obs.Json in
+  (* every envelope must survive a print/parse round trip and carry the
+     shared keys with their JSON types *)
+  let assert_envelope name metrics =
+    let doc = Json.parse (Json.to_string metrics) in
+    let is_num o key = match Json.member o key with Some (Json.Num _) -> true | _ -> false in
+    check_bool (name ^ " subsystem tag") true (Json.member doc "subsystem" = Some (Json.Str name));
+    check_bool (name ^ " elapsed_ms is a number") true (is_num doc "elapsed_ms");
+    check_bool (name ^ " launches is a number") true (is_num doc "launches");
+    match Json.member doc "comm" with
+    | Some (Json.Obj _ as comm) ->
+        List.iter
+          (fun key -> check_bool (Printf.sprintf "%s comm.%s is a number" name key) true (is_num comm key))
+          [ "posted_ms"; "exposed_ms"; "overlap_ratio" ]
+    | _ -> Alcotest.fail (name ^ " comm is not an object")
   in
   let graph = Lazy.force parent in
   let features = features_of graph 6 in
@@ -551,8 +560,6 @@ let test_metrics_schema_uniform () =
   in
   ignore (Replica.train_step cluster ~labels ());
   assert_envelope "dist" (Replica.metrics_json cluster);
-  check_bool "dist subsystem tag" true
-    (contains (Replica.metrics_json cluster) "\"subsystem\":\"dist\"");
   (* session *)
   let compiled = compile_model "rgcn" in
   let cfg =
@@ -561,8 +568,6 @@ let test_metrics_schema_uniform () =
   let session = Session.create ~config:cfg ~graph compiled in
   ignore (Session.forward session);
   assert_envelope "session" (Session.metrics_json session);
-  check_bool "session subsystem tag" true
-    (contains (Session.metrics_json session) "\"subsystem\":\"session\"");
   (* serve *)
   let module Serve = Hector_serve.Serve in
   let module Workload = Hector_serve.Workload in
@@ -576,9 +581,8 @@ let test_metrics_schema_uniform () =
       queue_capacity = Some 64;
     }
   in
-  let server =
-    Serve.create ~config:sconfig ~graph (Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:4 ())
-  in
+  let model () = Hector_models.Model_defs.rgcn ~in_dim:8 ~out_dim:4 () in
+  let server = Serve.create ~config:sconfig ~graph (model ()) in
   let requests =
     Workload.generate
       ~spec:{ Workload.default_spec with Workload.requests = 8; seeds_per_request = 2 }
@@ -586,8 +590,13 @@ let test_metrics_schema_uniform () =
   in
   ignore (Serve.serve server requests);
   assert_envelope "serve" (Serve.metrics_json server);
-  check_bool "serve subsystem tag" true
-    (contains (Serve.metrics_json server) "\"subsystem\":\"serve\"")
+  (* stream *)
+  let module Mg = Hector_stream.Mutable_graph in
+  let module Ss = Hector_stream.Stream_serve in
+  let mg = Mg.create ~slack:1.0 ~graph ~features:(features_of graph 8) () in
+  let stream = Ss.create ~config:sconfig ~mg (model ()) in
+  ignore (Ss.serve stream requests);
+  assert_envelope "stream" (Ss.metrics_json stream)
 
 let suite =
   [

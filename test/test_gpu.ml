@@ -194,16 +194,21 @@ let test_trace_timeline () =
         (Float.abs (Engine.elapsed_ms e -. (first.Engine.duration_ms +. second.Engine.duration_ms))
          < 1e-9)
   | _ -> Alcotest.fail "expected two events");
-  let json = Engine.to_chrome_trace e in
-  check_bool "has header" true
-    (String.length json > 20 && String.sub json 0 15 = "{\"traceEvents\":");
-  check_bool "mentions kernels" true
-    (let contains s sub =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     contains json "\"name\":\"a\"" && contains json "\"cat\":\"gemm\"");
+  let module Json = Hector_obs.Json in
+  let trace = Json.parse (Engine.to_chrome_trace e) in
+  (match Json.member trace "traceEvents" with
+  | Some (Json.Arr evs) ->
+      check_int "one event per launch" 2 (List.length evs);
+      List.iter
+        (fun ev ->
+          List.iter
+            (fun key -> check_bool ("event has " ^ key) true (Json.member ev key <> None))
+            [ "name"; "ph"; "ts"; "dur" ])
+        evs;
+      check_bool "first kernel named and categorized" true
+        (Json.member (List.hd evs) "name" = Some (Json.Str "a")
+        && Json.member (List.hd evs) "cat" = Some (Json.Str "gemm"))
+  | _ -> Alcotest.fail "trace has no traceEvents array");
   Engine.reset_clock e;
   check_int "reset clears events" 0 (List.length (Engine.events e))
 

@@ -197,9 +197,7 @@ let test_session_observability_config () =
   check_bool "launch counter advanced" true (Obs.counter obs "engine.launches" > 0);
   let metrics = Session.metrics_json session in
   check_bool "metrics include spans" true
-    (String.length metrics > 0
-    && contains metrics "\"spans\""
-    && contains metrics "\"by_op\"")
+    (Obs.Json.member metrics "spans" <> None && Obs.Json.member metrics "by_op" <> None)
 
 (* --- metrics / trace export --------------------------------------- *)
 
@@ -273,6 +271,43 @@ let test_knobs_refresh () =
   let k = Knobs.refresh () in
   check_bool "refresh sees change" true (not k.Knobs.obs)
 
+(* --- the JSON printer ------------------------------------------------- *)
+
+let test_json_numbers () =
+  let module Json = Obs.Json in
+  let check_str = Alcotest.(check string) in
+  check_str "integer" "123" (Json.to_string (Json.Num 123.0));
+  check_str "shortest decimal" "0.1" (Json.to_string (Json.Num 0.1));
+  check_str "compact document" "{\"a\":[1,true,null,\"x\\\"y\"],\"b\":{}}"
+    (Json.to_string
+       (Json.Obj
+          [ ("a", Json.Arr [ Json.int 1; Json.Bool true; Json.Null; Json.Str "x\"y" ]); ("b", Json.Obj []) ]));
+  (* every finite double reads back bit for bit *)
+  List.iter
+    (fun f ->
+      match Json.parse (Json.to_string (Json.Num f)) with
+      | Json.Num g ->
+          check_bool (Printf.sprintf "%h round-trips" f) true
+            (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+      | _ -> Alcotest.fail "number did not parse back as a number")
+    [ 0.1 +. 0.2; 1.0 /. 3.0; 2.0 /. 7.0; 1e-300; -1e300; -0.0; 9007199254740993.0; 5e-324; Float.pi ]
+
+let test_json_non_finite () =
+  let module Json = Obs.Json in
+  let check_str = Alcotest.(check string) in
+  check_str "NaN" "\"NaN\"" (Json.to_string (Json.Num Float.nan));
+  check_str "+Inf" "\"Infinity\"" (Json.to_string (Json.Num Float.infinity));
+  check_str "-Inf" "\"-Infinity\"" (Json.to_string (Json.Num Float.neg_infinity));
+  let doc =
+    Json.parse
+      (Json.to_string
+         (Obs.Metrics.envelope ~subsystem:"test" ~elapsed_ms:0.0 ~launches:0
+            [ Obs.Metrics.float "x" Float.nan ]))
+  in
+  check_bool "NaN travels as a string" true (Json.member doc "x" = Some (Json.Str "NaN"));
+  check_bool "a numeric reader fails loudly" true
+    (match Json.num_field doc "x" 0.0 with _ -> false | exception Json.Malformed -> true)
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -287,4 +322,6 @@ let suite =
     Alcotest.test_case "provenance on every launch" `Quick test_provenance_in_trace;
     Alcotest.test_case "knobs parse" `Quick test_knobs_parse;
     Alcotest.test_case "knobs refresh" `Quick test_knobs_refresh;
+    Alcotest.test_case "json numbers print shortest and round-trip" `Quick test_json_numbers;
+    Alcotest.test_case "json non-finite numbers stay valid JSON" `Quick test_json_non_finite;
   ]

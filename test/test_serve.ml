@@ -153,19 +153,17 @@ let test_metrics_json () =
   let server = Serve.create ~config:(exact_config graph) ~graph (rgcn ()) in
   let responses = Serve.serve server (trace graph) in
   let metrics = server |> Serve.metrics_json in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
+  let has obj key = Hector_obs.Json.member obj key <> None in
   List.iter
-    (fun key ->
-      check_bool (Printf.sprintf "metrics mention %s" key) true
-        (contains metrics ("\"" ^ key ^ "\"")))
+    (fun key -> check_bool (Printf.sprintf "metrics carry %s" key) true (has metrics key))
     [
-      "p50"; "p95"; "p99"; "throughput_rps"; "batch_hist"; "shed"; "mean_batch";
-      "plan_cache"; "launches_per_request"; "sim_elapsed_ms";
+      "latency_ms"; "throughput_rps"; "batch_hist"; "shed"; "mean_batch"; "plan_cache";
+      "launches_per_request"; "sim_elapsed_ms";
     ];
+  let latency = Option.get (Hector_obs.Json.member metrics "latency_ms") in
+  List.iter
+    (fun key -> check_bool (Printf.sprintf "latency carries %s" key) true (has latency key))
+    [ "p50"; "p95"; "p99" ];
   (* fast open-loop arrivals + max_batch 6: batching must actually happen *)
   check_bool "batches formed" true (Serve.batches server < Array.length responses);
   Array.iter
